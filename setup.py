@@ -1,38 +1,23 @@
-"""Build script: compiles the optional Cython kernel.
+"""Build script: compiles the optional C kernel ``groupgeo._kernel._bfs``.
 
-With Cython installed the kernel is cythonized from ``_ops_cy.pyx``; without
-it the committed, pre-generated ``_ops_cy.c`` is compiled directly.
+The kernel is one hand-written C file, ``src/groupgeo/_kernel/_bfs.c``: the
+all-pairs BFS over a ball graph.  It uses only the Python C API and the
+buffer protocol, so building it needs a C compiler and the Python headers,
+not numpy's headers or Cython.
 
-The package works without the extension (a numpy/pure-Python fallback is
-selected at import time), so any failure here downgrades to a pure build
-instead of aborting the install: the extension is marked ``optional``, which
-turns a compiler error inside ``build_ext`` into a warning.
+The package works without the extension (the pure fallback BFS is selected
+at import time), so any failure here downgrades to a pure build instead of
+aborting the install: the extension is marked ``optional``, which turns a
+compiler error inside ``build_ext`` into a warning.
+
+Offline, build in place with ``python setup.py build_ext --inplace`` and run
+with ``PYTHONPATH=src``; ``pip install`` also needs the ``wheel`` package.
 """
 
 from setuptools import Extension, setup
 
-KERNEL = "groupgeo._kernel._ops_cy"
-KERNEL_SRC = "src/groupgeo/_kernel/_ops_cy"
-
-ext_modules = []
-include_dirs = []
-try:
-    import numpy
-
-    include_dirs = [numpy.get_include()]
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        ext_modules = [Extension(KERNEL, [KERNEL_SRC + ".c"], optional=True)]
-    else:
-        ext_modules = cythonize(
-            [Extension(KERNEL, [KERNEL_SRC + ".pyx"], optional=True)],
-            language_level=3,
-        )
-except Exception as exc:  # pragma: no cover - exercised only on broken toolchains
-    print(f"groupgeo: skipping compiled kernel ({exc}); pure-Python fallback will be used")
-
 setup(
-    ext_modules=ext_modules,
-    include_dirs=include_dirs,
+    ext_modules=[
+        Extension("groupgeo._kernel._bfs", ["src/groupgeo/_kernel/_bfs.c"], optional=True)
+    ],
 )

@@ -1,4 +1,6 @@
-"""Kernel selection: compiled Cython ops when available, numpy/pure fallback otherwise.
+"""Kernel selection: the compiled all-pairs BFS when it is built, the pure
+fallback otherwise.  Both kernels share the Python ``free_reduce`` and the
+numpy ``max_bounded_defect``.
 
 Set ``GROUPGEO_PURE_PYTHON=1`` to force the fallback (used by the benchmark
 and by tests that compare the two implementations).
@@ -13,7 +15,7 @@ if os.environ.get("GROUPGEO_PURE_PYTHON") == "1":
     HAVE_COMPILED = False
 else:
     try:
-        from . import _ops_cy as ops  # type: ignore[no-redef]
+        from . import _ops_c as ops  # type: ignore[no-redef]
 
         HAVE_COMPILED = True
     except ImportError:

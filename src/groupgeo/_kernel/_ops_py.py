@@ -1,8 +1,8 @@
-"""Pure-Python / numpy fallback for the compiled kernel.
+"""The kernel's Python/numpy functions.
 
-Same contracts as ``_ops_cy``; see that module for the authoritative
-descriptions.  These versions are the reference implementations the compiled
-kernel is tested against.
+``free_reduce`` and ``max_bounded_defect`` are the only implementations and
+serve both kernels; ``all_pairs_bfs`` is the fallback BFS and the reference
+for the compiled one in ``_bfs.c``.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 UNREACHED = 255
+BLOCK_ROWS = 16  # rows of the defect recurrence filled per numpy step
 
 
 def free_reduce(codes):
@@ -52,34 +53,63 @@ def all_pairs_bfs(indptr, nbrs, n):
     return dist
 
 
-def max_bounded_defect(paths, dist, chunk=256):
-    """Max fellow-traveling defect over all pairs of combing lines.
+def max_bounded_defect(paths, dist):
+    """Max fellow-traveling defect over all pairs of lines of a rooted tree.
 
-    ``paths`` is an int32 matrix, one row per combing line: ``paths[a, t]`` is
-    the vertex index of line ``a`` at time ``t``, padded with the endpoint, so
-    the final column holds the endpoints.  ``dist`` is the vertex distance
-    matrix.  Returns ``(defect, a, b)`` where ``defect`` is
-    ``max over a, b, t of d(p_a(t), p_b(t)) - d(end_a, end_b)`` and (a, b) is
-    the lexicographically least line pair achieving it.
+    ``paths`` is the tree's prefix matrix: row ``a`` lists the vertices of
+    the root-to-``a`` line at times 0..T-1, padded with ``a`` once it is
+    reached, and the rows are in order of nondecreasing depth.  ``dist`` is
+    the uint8 vertex distance matrix.  Returns ``(defect, a, b)`` where
+    ``defect`` is ``max over a, b, t of d(p_a(t), p_b(t)) - d(a, b)`` and
+    (a, b) is the lexicographically least pair achieving it.
+
+    ``dist`` is overwritten.  With M(a, b) = max_t d(p_a(t), p_b(t)), the
+    geodesic-tree recurrence M(a, b) = max(M(par a, b), d(a, b)) for
+    depth b < depth a and max(M(par a, par b), d(a, b)) for equal depths
+    fills each row's columns up to the end of its own layer, in blocks of
+    ``BLOCK_ROWS`` rows, and writes M there in place of d.  Both M and d are
+    symmetric, so this covers every pair at O(n^2) instead of O(n^2 T).
     """
-    paths = np.asarray(paths, dtype=np.int64)
-    dist_i16 = np.asarray(dist, dtype=np.int16)
-    n_lines, T = paths.shape
-    ends = paths[:, -1]
-    best = -(1 << 30)
-    best_a = best_b = 0
-    for start in range(0, n_lines, chunk):
-        rows = paths[start:start + chunk]
-        row_ends = ends[start:start + chunk]
-        end_d = dist_i16[row_ends[:, None], ends[None, :]]
-        running = np.full(end_d.shape, -(1 << 14), dtype=np.int16)
-        for t in range(T):
-            np.maximum(running, dist_i16[rows[:, t][:, None], paths[:, t][None, :]], out=running)
-        defect = running - end_d
-        flat = int(defect.argmax())
-        val = int(defect.flat[flat])
-        if val > best:
-            best = val
-            best_a = start + flat // defect.shape[1]
-            best_b = flat % defect.shape[1]
-    return best, best_a, best_b
+    paths = np.asarray(paths)
+    n = paths.shape[0]
+    if dist.dtype != np.uint8 or dist.shape != (n, n):
+        raise ValueError("dist must be an n x n uint8 matrix")
+    if not (paths[:, -1] == np.arange(n)).all():
+        raise ValueError("paths row a must end at vertex a")
+    depth = (paths != paths[:, -1:]).sum(axis=1)
+    if depth[0] != 0 or (depth[1:] == 0).any() or (np.diff(depth) < 0).any():
+        raise ValueError("paths must list the root first, then rows by nondecreasing depth")
+    parent = paths[np.arange(n), np.maximum(depth - 1, 0)].astype(np.intp)
+    bounds = [*(np.flatnonzero(np.diff(depth)) + 1).tolist(), n]
+
+    best, witness = 0, (0, 0)  # the root with itself: M = d = 0
+    for ls, le in zip(bounds, bounds[1:]):
+        layer_parents = parent[ls:le]
+        for s in range(ls, le, BLOCK_ROWS):
+            e = min(s + BLOCK_ROWS, le)
+            block = dist[s:e, :le]  # d(a, b) on entry, M(a, b) on exit
+            m = np.empty_like(block)
+            m[:, :ls] = dist[parent[s:e], :ls]
+            np.take(m[:, :ls], layer_parents, axis=1, out=m[:, ls:])
+            np.maximum(m, block, out=m)
+            np.subtract(m, block, out=block)  # the defects, all >= 0
+            top = int(block.max())
+            if top >= best:
+                # a pair (a, b) and its mirror (b, a) share a defect, so the
+                # least ordered witness is the least (min, max) over the
+                # block's rows.  At a tie only columns up to the current
+                # witness's smaller vertex can improve on it.
+                cols = le if top > best else witness[0] + 1
+                hit = block[:, :cols] == top
+                first = hit.argmax(axis=1)
+                found = hit[np.arange(e - s), first]
+                if found.any():
+                    a = np.arange(s, e)[found]
+                    b = first[found]
+                    lo, hi = np.minimum(a, b), np.maximum(a, b)
+                    k = np.lexsort((hi, lo))[0]
+                    pair = (int(lo[k]), int(hi[k]))
+                    if top > best or pair < witness:
+                        best, witness = top, pair
+            np.copyto(block, m)
+    return best, witness[0], witness[1]

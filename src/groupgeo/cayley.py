@@ -1,16 +1,20 @@
 """Breadth-first enumeration of Cayley balls with canonical-key deduplication.
 
-The ball is built layer by layer.  Within a layer the frontier is processed
-in canonical-key order and discoveries are merged by taking the minimum
-(parent shortlex rank, letter) candidate, so the result - including parent
-assignments - is identical for any thread count.  Each entry's parent chain
-spells the shortlex-least geodesic word for that element.
+The ball is built layer by layer.  The frontier is kept in shortlex order of
+its geodesic words and expanded letter by letter, so the first discovery of
+each new element is its (parent shortlex rank, letter)-least one: each
+entry's parent chain spells the shortlex-least geodesic word for that
+element, and the ball, parent assignments included, is deterministic.
+
+Enumeration runs on one thread.  ``threads`` is accepted, and output is
+identical for every value, but it is not parallel: expanding a frontier is
+Python work bound by the GIL.  A process-based split comes back only with a
+benchmark gain of at least 1.5x.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Optional
 
@@ -129,23 +133,6 @@ class BallIndex:
             )
 
 
-def _expand_chunk(group: MarkedGroup, chunk, codes, known):
-    """Candidate discoveries for one frontier chunk: key -> (parent ordinal,
-    letter code, element)."""
-    model = group.model
-    out: dict[bytes, tuple[int, int, Element]] = {}
-    for ordinal, _key, g in chunk:
-        for code in codes:
-            h = model.multiply(g, group.letter_image_by_code(code))
-            hk = model.canonical_key(h)
-            if hk in known:
-                continue
-            prev = out.get(hk)
-            if prev is None or (ordinal, code) < prev[:2]:
-                out[hk] = (ordinal, code, h)
-    return out
-
-
 def ball(
     G: MarkedGroup,
     n: int,
@@ -156,7 +143,8 @@ def ball(
     """Enumerate the complete radius-n ball of (G, X).
 
     Raises MemoryCapExceeded once more than ``max_elements`` entries would be
-    stored; enumeration failure is never a silent truncation.
+    stored; enumeration failure is never a silent truncation.  ``threads`` is
+    accepted but not parallel (see the module docstring).
     """
     if n < 0:
         raise ValueError("radius must be >= 0")
@@ -167,40 +155,31 @@ def ball(
     layers = [[id_key]]
     sphere_sizes = [1]
     keys_by_ordinal = [id_key]
-    frontier = [(0, id_key, ident)]
+    frontier = [(0, ident)]
     codes = range(2 * len(G.alphabet))
     next_ordinal = 1
     for r in range(1, n + 1):
         if _stop_key is not None and _stop_key in entries:
             break
-        frontier.sort(key=lambda t: t[1])
-        if threads > 1 and len(frontier) > 4 * threads:
-            size = (len(frontier) + threads - 1) // threads
-            chunks = [frontier[i:i + size] for i in range(0, len(frontier), size)]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                partials = list(
-                    pool.map(lambda c: _expand_chunk(G, c, codes, entries), chunks)
-                )
-            candidates: dict[bytes, tuple[int, int, Element]] = {}
-            for part in partials:
-                for hk, cand in part.items():
-                    prev = candidates.get(hk)
-                    if prev is None or cand[:2] < prev[:2]:
-                        candidates[hk] = cand
-        else:
-            candidates = _expand_chunk(G, frontier, codes, entries)
+        # the frontier is in shortlex order, so the first discovery of an
+        # element is its least (parent shortlex rank, letter) candidate, and
+        # the candidates come out in the shortlex order of the new layer
+        candidates: dict[bytes, tuple[int, int, Element]] = {}
+        for ordinal, g in frontier:
+            for code in codes:
+                h = model.multiply(g, G.letter_image_by_code(code))
+                hk = model.canonical_key(h)
+                if hk not in entries and hk not in candidates:
+                    candidates[hk] = (ordinal, code, h)
         if len(entries) + len(candidates) > max_elements:
             raise MemoryCapExceeded(max_elements, r)
-        # shortlex order of the new layer: geodesic words sort by
-        # (parent shortlex rank, letter)
-        ordered = sorted(candidates.items(), key=lambda kv: kv[1][:2])
         layer = []
         frontier = []
-        for hk, (parent_ord, code, h) in ordered:
+        for hk, (parent_ord, code, h) in candidates.items():
             entries[hk] = BallEntry(h, r, keys_by_ordinal[parent_ord], code, next_ordinal)
             keys_by_ordinal.append(hk)
             layer.append(hk)
-            frontier.append((next_ordinal, hk, h))
+            frontier.append((next_ordinal, h))
             next_ordinal += 1
         layers.append(layer)
         sphere_sizes.append(len(layer))

@@ -28,7 +28,8 @@ def _add_common(p: argparse.ArgumentParser, group: bool = True, radius: bool = T
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--max-elements", type=int, default=cayley.DEFAULT_MAX_ELEMENTS)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; results are identical for any value")
+                   help="accepted but not parallel: enumeration runs on one thread; "
+                        "results are identical for any value")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -415,8 +415,8 @@ def centralizer_quasiconvexity_report(
     plus, for every vertex v on a combing line of a member, the conjugate
     gamma = v^-1 a v and its shortlex-least conjugator psi back to a.
 
-    Since (v^-1) gamma (v^-1)^-1 = a, a conjugator always exists with length
-    at most |v|, so the per-vertex searches never miss.
+    Since v gamma v^-1 = a, v itself is a conjugator of length |v| <= |member|,
+    so the per-vertex searches never miss; a miss raises CapExceeded.
     """
     model = G.model
     if isinstance(sigma, ShortlexBicombing) and sigma.index.radius >= radius:
@@ -441,7 +441,11 @@ def centralizer_quasiconvexity_report(
         for t, v in enumerate(line.vertices):
             gamma = model.multiply(model.multiply(model.invert(v), a), v)
             psi = conjugator_search(G, a, gamma, cap=idx.entries[key].distance, index=idx)
-            assert psi is not None  # v^-1 itself conjugates gamma back to a
+            if psi is None:  # v itself conjugates gamma back to a
+                raise CapExceeded(
+                    f"no conjugator of gamma back to a within |member| for member "
+                    f"{fmt(idx.geodesic_word(key))} at t={t}"
+                )
             psi_max = max(psi_max, len(psi))
             conjugators.append(
                 {

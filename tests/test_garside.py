@@ -13,6 +13,39 @@ def braid(letters):
     return B3.from_artin_word(letters)
 
 
+BRAID_RELATOR = [(0, 1), (1, 1), (0, 1), (1, -1), (0, -1), (1, -1)]
+
+
+@st.composite
+def equal_word_pairs(draw):
+    """(u, v) where v comes from u by one to four relation rewrites, so both
+    spell the same braid: insert s_i^e s_i^-e, insert the braid relator
+    s0 s1 s0 (s1 s0 s1)^-1 or its inverse, or swap an occurrence of
+    s0^e s1^e s0^e with s1^e s0^e s1^e."""
+    u = draw(artin_words)
+    v = list(u)
+    for _ in range(draw(st.integers(1, 4))):
+        triples = [
+            i for i in range(len(v) - 2)
+            if v[i] == v[i + 2] and v[i + 1] == (1 - v[i][0], v[i][1])
+        ]
+        kind = draw(st.sampled_from(("pair", "relator", "swap") if triples else ("pair", "relator")))
+        if kind == "swap":
+            i = draw(st.sampled_from(triples))
+            (g, e), (h, _) = v[i], v[i + 1]
+            v[i:i + 3] = [(h, e), (g, e), (h, e)]
+            continue
+        i = draw(st.integers(0, len(v)))
+        if kind == "pair":
+            g, e = draw(artin_letters)
+            v[i:i] = [(g, e), (g, -e)]
+        elif draw(st.booleans()):
+            v[i:i] = BRAID_RELATOR
+        else:
+            v[i:i] = [(g, -e) for g, e in reversed(BRAID_RELATOR)]
+    return u, v
+
+
 class TestPermutationHelpers:
     def test_composition_applies_left_then_right(self):
         s0 = (1, 0, 2)
@@ -120,6 +153,13 @@ class TestBurauOracle:
         same_key = B3.canonical_key(braid(u)) == B3.canonical_key(braid(v))
         same_burau = self._burau_equal(self._burau(u), self._burau(v))
         assert same_key == same_burau
+
+    @given(equal_word_pairs())
+    @settings(max_examples=25, deadline=None)
+    def test_relation_rewrites_keep_key_and_burau(self, pair):
+        u, v = pair
+        assert B3.canonical_key(braid(u)) == B3.canonical_key(braid(v))
+        assert self._burau_equal(self._burau(u), self._burau(v))
 
     def test_known_nontrivial_pure_braid(self):
         # sigma1^2 is nontrivial and Burau sees it

@@ -1,4 +1,5 @@
-"""Compiled kernel vs. reference fallback: identical results on random inputs."""
+"""Kernel tests: the compiled BFS against the fallback BFS, and the shared
+defect recurrence against the O(n^2 T) definition."""
 
 import os
 import shutil
@@ -6,16 +7,15 @@ import sysconfig
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from groupgeo import cayley
-from groupgeo._kernel import HAVE_COMPILED, _ops_py
+from groupgeo._kernel import HAVE_COMPILED, _ops_py, ops
 from groupgeo.experiments import get_group
 
 if HAVE_COMPILED:
-    from groupgeo._kernel import _ops_cy
+    from groupgeo._kernel import _ops_c
 else:  # pragma: no cover - exercised only in fallback-only environments
-    _ops_cy = None
+    _ops_c = None
 
 needs_compiled = pytest.mark.skipif(
     not HAVE_COMPILED, reason="compiled kernel not built"
@@ -29,21 +29,25 @@ def _have_c_toolchain():
     return bool(cc) and shutil.which(cc[0]) is not None and os.path.isfile(header)
 
 
-def _random_csr(rng, n, extra_edges):
-    """A random connected undirected graph in CSR form."""
-    edges = set()
-    for v in range(1, n):
-        u = rng.integers(0, v)
-        edges.add((int(u), v))
-    for _ in range(extra_edges):
-        u, v = sorted(rng.integers(0, n, size=2).tolist())
-        if u != v:
-            edges.add((u, v))
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    indptr = np.zeros(n + 1, dtype=np.int64)
+def reference_max_bounded_defect(paths, dist):
+    """The definition, in O(n^2 T): max over a, b, t of
+    d(p_a(t), p_b(t)) - d(end_a, end_b), with the lexicographically least
+    pair (a, b) achieving it.  Any paths, tree or not."""
+    paths = np.asarray(paths, dtype=np.int64)
+    dist = np.asarray(dist, dtype=np.int16)
+    ends = paths[:, -1]
+    best, best_a, best_b = None, 0, 0
+    for a in range(len(paths)):
+        # row b, column t: d(p_a(t), p_b(t))
+        defect = dist[paths[a][None, :], paths].max(axis=1) - dist[ends[a], ends]
+        b = int(defect.argmax())
+        if best is None or defect[b] > best:
+            best, best_a, best_b = int(defect[b]), a, b
+    return best, best_a, best_b
+
+
+def _csr(adj):
+    indptr = np.zeros(len(adj) + 1, dtype=np.int64)
     nbrs = []
     for i, row in enumerate(adj):
         nbrs.extend(sorted(row))
@@ -51,18 +55,59 @@ def _random_csr(rng, n, extra_edges):
     return indptr, np.asarray(nbrs, dtype=np.int32)
 
 
-class TestFreeReduce:
-    @given(st.lists(st.integers(0, 7), max_size=60))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_reference(self, codes):
-        if not HAVE_COMPILED:
-            pytest.skip("compiled kernel not built")
-        assert list(_ops_cy.free_reduce(codes)) == list(_ops_py.free_reduce(codes))
+def _random_adjacency(rng, n, extra_edges):
+    """Neighbour sets of a random connected undirected graph."""
+    adj = [set() for _ in range(n)]
+    for v in range(1, n):
+        u = int(rng.integers(0, v))
+        adj[u].add(v)
+        adj[v].add(u)
+    for _ in range(extra_edges):
+        u, v = rng.integers(0, n, size=2).tolist()
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
 
+
+def _random_geodesic_tree(rng, n, extra_edges):
+    """A random connected graph relabelled so that a random BFS tree from
+    vertex 0 lists its vertices by nondecreasing depth (shuffled within each
+    layer), with the graph's distance matrix and the tree's prefix matrix."""
+    adj = _random_adjacency(rng, n, extra_edges)
+    depth = {0: 0}
+    layers = [[0]]
+    while True:
+        nxt = sorted({v for u in layers[-1] for v in adj[u] if v not in depth})
+        if not nxt:
+            break
+        for v in nxt:
+            depth[v] = len(layers)
+        layers.append([int(v) for v in rng.permutation(nxt)])
+    order = [v for layer in layers for v in layer]
+    label = {v: i for i, v in enumerate(order)}
+    new_adj = [{label[u] for u in adj[v]} for v in order]
+    dist = _ops_py.all_pairs_bfs(*_csr(new_adj), n)
+    T = len(layers) + int(rng.integers(0, 3))  # padded beyond the deepest vertex
+    paths = np.empty((n, T), dtype=np.int32)
+    paths[0, :] = 0
+    for i in range(1, n):
+        d = depth[order[i]]
+        # any neighbour one layer up is a geodesic parent
+        parent = int(rng.choice(sorted(u for u in new_adj[i] if dist[0, u] == d - 1)))
+        paths[i, :d] = paths[parent, :d]
+        paths[i, d:] = i
+    return paths, dist
+
+
+class TestFreeReduce:
     def test_reference_cancels(self):
         assert _ops_py.free_reduce([0, 1]) == []
         assert _ops_py.free_reduce([0, 2, 3, 1]) == []
         assert _ops_py.free_reduce([0, 0, 1]) == [0]
+
+    def test_one_implementation(self):
+        assert ops.free_reduce is _ops_py.free_reduce
 
 
 class TestAllPairsBfs:
@@ -71,9 +116,10 @@ class TestAllPairsBfs:
     def test_matches_reference_on_random_graphs(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 40))
-        indptr, nbrs = _random_csr(rng, n, extra_edges=n)
-        got = np.asarray(_ops_cy.all_pairs_bfs(indptr, nbrs, n))
+        indptr, nbrs = _csr(_random_adjacency(rng, n, extra_edges=n))
+        got = _ops_c.all_pairs_bfs(indptr, nbrs, n)
         want = _ops_py.all_pairs_bfs(indptr, nbrs, n)
+        assert got.dtype == np.uint8 and got.shape == (n, n)
         assert (got == want).all()
 
     def test_reference_on_a_path_graph(self):
@@ -87,6 +133,8 @@ class TestAllPairsBfs:
         nbrs = np.array([], dtype=np.int32)
         d = _ops_py.all_pairs_bfs(indptr, nbrs, 2)
         assert d[0, 1] == 255
+        if HAVE_COMPILED:
+            assert (_ops_c.all_pairs_bfs(indptr, nbrs, 2) == d).all()
 
     def test_diameter_overflow_raises(self):
         n = 300  # path graph longer than uint8 range
@@ -99,49 +147,82 @@ class TestAllPairsBfs:
         with pytest.raises(ValueError):
             _ops_py.all_pairs_bfs(indptr, np.asarray(nbrs, dtype=np.int32), n)
         if HAVE_COMPILED:
-            with pytest.raises(ValueError):
-                _ops_cy.all_pairs_bfs(indptr, np.asarray(nbrs, dtype=np.int32), n)
+            with pytest.raises(ValueError, match="diameter"):
+                _ops_c.all_pairs_bfs(indptr, np.asarray(nbrs, dtype=np.int32), n)
+
+    @needs_compiled
+    @pytest.mark.parametrize(
+        "indptr,nbrs,n",
+        [
+            ([0, 1, 2], [1, 2], 2),   # neighbour out of range
+            ([0, 1, 2], [1, -1], 2),  # negative neighbour
+            ([0, 2, 1], [1, 0], 2),   # indptr decreasing
+            ([0, 1], [1, 0], 2),      # indptr too short for n
+            ([0, 1, 3], [1, 0], 2),   # indptr end past nbrs
+        ],
+    )
+    def test_malformed_csr_raises(self, indptr, nbrs, n):
+        with pytest.raises(ValueError, match="malformed"):
+            _ops_c.all_pairs_bfs(
+                np.array(indptr, dtype=np.int64), np.array(nbrs, dtype=np.int32), n
+            )
 
 
 class TestMaxBoundedDefect:
-    @needs_compiled
-    @pytest.mark.parametrize("group,radius", [("free2", 3), ("z2", 4), ("sl2z", 4)])
+    @pytest.mark.parametrize(
+        "group,radius",
+        [
+            ("braid3", 3), ("braid3", 4), ("bs12", 4), ("bs12", 6),
+            ("free2", 3), ("free2", 5), ("heis3", 3), ("heis3", 4),
+            ("kleinfour", 1), ("kleinfour", 3), ("sl2z", 4), ("sl2z", 6),
+            ("z2", 4), ("z2", 8),
+        ],
+    )
     def test_matches_reference_on_real_balls(self, group, radius):
         idx = cayley.ball(get_group(group), radius)
         indptr, nbrs = idx.graph_csr()
-        dist = _ops_py.all_pairs_bfs(indptr, nbrs, len(idx))
+        dist = ops.all_pairs_bfs(indptr, nbrs, len(idx))
         paths = idx.prefix_matrix()
-        got = _ops_cy.max_bounded_defect(paths, dist)
-        want = _ops_py.max_bounded_defect(paths, dist)
-        assert tuple(got) == tuple(want)
+        want = reference_max_bounded_defect(paths, dist)
+        assert ops.max_bounded_defect(paths, dist.copy()) == want
 
-    @needs_compiled
-    @pytest.mark.parametrize("seed", range(3))
-    def test_matches_reference_on_random_inputs(self, seed):
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_reference_on_random_trees(self, seed):
         rng = np.random.default_rng(100 + seed)
-        n = int(rng.integers(3, 30))
-        indptr, nbrs = _random_csr(rng, n, extra_edges=2 * n)
-        dist = _ops_py.all_pairs_bfs(indptr, nbrs, n)
-        T = int(rng.integers(2, 8))
-        paths = rng.integers(0, n, size=(n, T)).astype(np.int32)
-        paths[:, 0] = 0
-        got = _ops_cy.max_bounded_defect(paths, dist)
-        want = _ops_py.max_bounded_defect(paths, dist)
-        assert got[0] == want[0]
-        # the witness pair must actually achieve the defect
-        ends = paths[:, -1]
-        a, b = got[1], got[2]
-        achieved = max(
-            int(dist[paths[a, t], paths[b, t]]) for t in range(T)
-        ) - int(dist[ends[a], ends[b]])
-        assert achieved == got[0]
+        n = int(rng.integers(2, 60))
+        paths, dist = _random_geodesic_tree(rng, n, extra_edges=int(rng.integers(0, 2 * n)))
+        want = reference_max_bounded_defect(paths, dist)
+        assert _ops_py.max_bounded_defect(paths, dist.copy()) == want
+
+    def test_writes_the_line_maximum_into_dist(self):
+        idx = cayley.ball(get_group("z2"), 3)
+        dist = ops.all_pairs_bfs(*idx.graph_csr(), len(idx))
+        paths = idx.prefix_matrix()
+        out = dist.copy()
+        ops.max_bounded_defect(paths, out)
+        a, b = 0, len(idx) - 1  # the root and a vertex of the last layer
+        line_max = max(int(dist[paths[b, t], paths[a, t]]) for t in range(paths.shape[1]))
+        assert out[b, a] == line_max
+
+    def test_one_implementation(self):
+        assert ops.max_bounded_defect is _ops_py.max_bounded_defect
+
+    def test_rejects_rows_out_of_depth_order(self):
+        paths = np.array([[0, 1], [0, 0]], dtype=np.int32)  # row 1 ends at 0
+        dist = np.zeros((2, 2), dtype=np.uint8)
+        with pytest.raises(ValueError):
+            _ops_py.max_bounded_defect(paths, dist)
+        paths = np.array([[0, 0, 0], [0, 1, 1], [0, 1, 2], [0, 3, 3]], dtype=np.int32)
+        dist = np.zeros((4, 4), dtype=np.uint8)
+        with pytest.raises(ValueError, match="depth"):
+            _ops_py.max_bounded_defect(paths, dist)
 
     def test_reference_zero_defect_for_identical_lines(self):
         paths = np.array([[0, 1, 2], [0, 1, 2]], dtype=np.int32)
         dist = np.array(
             [[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=np.uint8
         )
-        defect, a, b = _ops_py.max_bounded_defect(paths, dist)
+        defect, a, b = reference_max_bounded_defect(paths, dist)
         assert defect == 0
 
 
