@@ -100,10 +100,10 @@ def _cmd_ball(args) -> int:
             "entries": [
                 {
                     "key": k.hex(),
-                    "distance": idx.entries[k].distance,
+                    "distance": d,
                     "witness_word": G.alphabet.format_word(idx.geodesic_word(k)),
                 }
-                for k in idx.iter_keys_shortlex()
+                for k, d in zip(idx.keys_shortlex, idx.depth.tolist())
             ],
         }
         print(json.dumps(payload, indent=2))

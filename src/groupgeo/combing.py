@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -111,7 +111,7 @@ class ShortlexBicombing(Bicombing):
 
     def _lookup(self, u: Element) -> bytes:
         key = self.group.model.canonical_key(u)
-        if key not in self.index.entries:
+        if key not in self.index.index:
             raise CapExceeded(f"element beyond the combing cap {self.cap}")
         return key
 
@@ -129,7 +129,7 @@ class ShortlexBicombing(Bicombing):
     def _distance(self, g: Element, h: Element) -> int:
         model = self.group.model
         u = model.multiply(model.invert(g), h)
-        return self.index.entries[self._lookup(u)].distance
+        return int(self.index.depth[self.index.index[self._lookup(u)]])
 
 
 def shortlex_bicombing(
@@ -301,24 +301,21 @@ def _multi_source_distances(indptr, nbrs, n: int, sources: Sequence[int]) -> np.
 
 
 def _quasiconvexity_over_members(
-    G: MarkedGroup, idx: cayley.BallIndex, member_keys: list[bytes]
+    G: MarkedGroup, idx: cayley.BallIndex, members: list[int]
 ) -> ConstantsReport:
-    """k = max over members h and times t of d(line(1,h)(t), member set),
-    distances taken in the ball graph."""
+    """k = max over member vertices h and times t of d(line(1,h)(t), member
+    set), distances taken in the ball graph."""
     indptr, nbrs = idx.graph_csr()
-    n = len(idx)
-    sources = [idx.vertex_index(k) for k in member_keys]
-    to_H = _multi_source_distances(indptr, nbrs, n, sources)
+    to_H = _multi_source_distances(indptr, nbrs, len(idx), members)
     paths = idx.prefix_matrix()
     best = -1
     witness = None
-    for key in member_keys:
-        row = paths[idx.vertex_index(key)]
-        for t, v in enumerate(row):
+    for h in members:
+        for t, v in enumerate(paths[h]):
             d = int(to_H[v])
             if d > best:
                 best = d
-                witness = (key, t)
+                witness = (h, t)
     fmt = G.alphabet.format_word
     return ConstantsReport(
         k=Fraction(best),
@@ -327,7 +324,7 @@ def _quasiconvexity_over_members(
         family="subgroup_members_in_ball",
         distance_mode=_ball_distance_mode(G, idx),
         witnesses={
-            "k_member": fmt(idx.geodesic_word(witness[0])),
+            "k_member": fmt(idx.geodesic_word(idx.keys_shortlex[witness[0]])),
             "k_time": witness[1],
         },
     )
@@ -346,10 +343,20 @@ def quasiconvexity_constant(
         idx = sigma.index
     else:
         idx = cayley.ball(G, radius, max_elements=max_elements, threads=threads)
-    member_keys = [
-        k for k in idx.iter_keys_shortlex() if H.contains(idx.entries[k].element)
-    ]
-    return _quasiconvexity_over_members(G, idx, member_keys)
+    members = [v for v, g in enumerate(idx.elements) if H.contains(g)]
+    return _quasiconvexity_over_members(G, idx, members)
+
+
+def _conjugators_in_ball(
+    G: MarkedGroup, idx: cayley.BallIndex, a: Element, gamma: Element, n: int
+) -> Iterator[int]:
+    """Vertices psi of ball(n) with psi gamma psi^-1 = a, in shortlex order."""
+    model = G.model
+    a_key = model.canonical_key(a)
+    for v, psi in zip(range(sum(idx.sphere_sizes[: n + 1])), idx.elements):
+        conj = model.multiply(model.multiply(psi, gamma), model.invert(psi))
+        if model.canonical_key(conj) == a_key:
+            yield v
 
 
 def centralizer_ball(
@@ -361,20 +368,10 @@ def centralizer_ball(
     index: Optional[cayley.BallIndex] = None,
 ) -> list[Element]:
     """{g in ball(n) : g a g^-1 = a}, in shortlex order."""
-    model = G.model
     idx = index if index is not None and index.radius >= n else cayley.ball(
         G, n, max_elements=max_elements, threads=threads
     )
-    a_key = model.canonical_key(a)
-    out = []
-    for key in idx.iter_keys_shortlex():
-        e = idx.entries[key]
-        if e.distance > n:
-            break
-        conj = model.multiply(model.multiply(e.element, a), model.invert(e.element))
-        if model.canonical_key(conj) == a_key:
-            out.append(e.element)
-    return out
+    return [idx.elements[v] for v in _conjugators_in_ball(G, idx, a, a, n)]
 
 
 def conjugator_search(
@@ -387,20 +384,11 @@ def conjugator_search(
 ) -> Optional[Word]:
     """Shortlex-least word psi with psi gamma psi^-1 = a and |psi| <= cap,
     or None when no conjugator exists within the cap."""
-    model = G.model
     idx = index if index is not None and index.radius >= cap else cayley.ball(
         G, cap, max_elements=max_elements
     )
-    a_key = model.canonical_key(a)
-    for key in idx.iter_keys_shortlex():
-        e = idx.entries[key]
-        if e.distance > cap:
-            break
-        psi = e.element
-        conj = model.multiply(model.multiply(psi, gamma), model.invert(psi))
-        if model.canonical_key(conj) == a_key:
-            return idx.geodesic_word(key)
-    return None
+    v = next(_conjugators_in_ball(G, idx, a, gamma, cap), None)
+    return None if v is None else idx.geodesic_word(idx.keys_shortlex[v])
 
 
 def centralizer_quasiconvexity_report(
@@ -423,33 +411,26 @@ def centralizer_quasiconvexity_report(
         idx = sigma.index
     else:
         idx = cayley.ball(G, radius, max_elements=max_elements, threads=threads)
-    a_key = model.canonical_key(a)
-    member_keys = []
-    for key in idx.iter_keys_shortlex():
-        e = idx.entries[key]
-        if e.distance > radius:
-            continue
-        conj = model.multiply(model.multiply(e.element, a), model.invert(e.element))
-        if model.canonical_key(conj) == a_key:
-            member_keys.append(key)
-    report = _quasiconvexity_over_members(G, idx, member_keys)
+    members = list(_conjugators_in_ball(G, idx, a, a, radius))
+    report = _quasiconvexity_over_members(G, idx, members)
     fmt = G.alphabet.format_word
     conjugators = []
     psi_max = 0
-    for key in member_keys:
-        line = sigma.line(model.identity, idx.entries[key].element)
+    for h in members:
+        member = fmt(idx.geodesic_word(idx.keys_shortlex[h]))
+        line = sigma.line(model.identity, idx.elements[h])
         for t, v in enumerate(line.vertices):
             gamma = model.multiply(model.multiply(model.invert(v), a), v)
-            psi = conjugator_search(G, a, gamma, cap=idx.entries[key].distance, index=idx)
+            psi = conjugator_search(G, a, gamma, cap=int(idx.depth[h]), index=idx)
             if psi is None:  # v itself conjugates gamma back to a
                 raise CapExceeded(
                     f"no conjugator of gamma back to a within |member| for member "
-                    f"{fmt(idx.geodesic_word(key))} at t={t}"
+                    f"{member} at t={t}"
                 )
             psi_max = max(psi_max, len(psi))
             conjugators.append(
                 {
-                    "member": fmt(idx.geodesic_word(key)),
+                    "member": member,
                     "t": t,
                     "gamma": model.describe(gamma),
                     "psi": fmt(psi),

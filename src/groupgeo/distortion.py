@@ -93,11 +93,10 @@ class HomImage(SubgroupModel):
         idx = cayley.ball(hom.source, source_radius, max_elements=max_elements)
         self._lengths: dict[bytes, int] = {}
         tmodel = hom.target.model
-        for key in idx.iter_keys_shortlex():
+        for key, d in zip(idx.keys_shortlex, idx.depth.tolist()):
             tkey = tmodel.canonical_key(
                 hom.map_element_of_word(idx.geodesic_word(key))
             )
-            d = idx.distance_of(key)
             if tkey not in self._lengths or d < self._lengths[tkey]:
                 self._lengths[tkey] = d
         self._exhausted = idx.sphere_sizes[-1] == 0
@@ -208,27 +207,23 @@ def distortion_profile(
     best: dict[int, tuple[int, bytes]] = {}
     capped_at: Optional[int] = None
     id_key = G.identity_key
-    for key in idx.iter_keys_shortlex():
-        e = idx.entries[key]
-        if not H.contains(e.element):
+    for key, g, d in zip(idx.keys_shortlex, idx.elements, idx.depth.tolist()):
+        if not H.contains(g):
             continue
-        dh = H.length_in_H(e.element)
+        dh = H.length_in_H(g)
         if dh is None:
-            if capped_at is None or e.distance < capped_at:
-                capped_at = e.distance
+            if capped_at is None or d < capped_at:
+                capped_at = d
             continue
-        cur = best.get(e.distance)
+        cur = best.get(d)
         if cur is None or dh > cur[0] or (dh == cur[0] and key < cur[1]):
-            best[e.distance] = (dh, key)
+            best[d] = (dh, key)
     entries = []
     run_delta, run_key = 0, id_key
     for n in range(1, n_max + 1):
         cand = best.get(n)
-        if cand is not None and (
-            cand[0] > run_delta or (cand[0] == run_delta and cand[1] < run_key)
-        ):
-            if cand[0] > run_delta:
-                run_delta, run_key = cand
+        if cand is not None and cand[0] > run_delta:
+            run_delta, run_key = cand
         exact = H.is_exact and (capped_at is None or n < capped_at)
         entries.append(
             ProfileEntry(

@@ -293,9 +293,8 @@ def run_klein_check(
     idx = cayley.ball(G, radius, max_elements=max_elements, threads=threads)
     census: dict[Optional[int], int] = {}
     order2_witnesses = []
-    for key in idx.iter_keys_shortlex():
-        e = idx.entries[key]
-        order = order_of_element(e.element, G.model, cap=_ORDER_CAP)
+    for key, g in zip(idx.keys_shortlex, idx.elements):
+        order = order_of_element(g, G.model, cap=_ORDER_CAP)
         census[order] = census.get(order, 0) + 1
         if order == 2:
             order2_witnesses.append(G.alphabet.format_word(idx.geodesic_word(key)))
@@ -496,20 +495,20 @@ def run_combing_report(
     )
     idx = sigma.index
     ident = G.model.identity
-    sample = [(ident, idx.entries[k].element) for k in idx.iter_keys_shortlex()]
+    sample = [(ident, g) for g in idx.elements]
     qg = combing.check_quasi_geodesic(sigma, sample)
     bounded = combing.check_bounded(sigma, G, radius, threads=threads)
     rng = random.Random(seed)
-    keys = idx.keys_shortlex
+    elements = idx.elements
     # random triples (g, x, y); x is kept whenever x^-1 y stays in the ball,
     # otherwise the line is anchored at the identity
     triples = []
     for _ in range(_EQUIVARIANCE_TRIPLES):
-        g = idx.entries[rng.choice(keys)].element
-        x = idx.entries[rng.choice(keys)].element
-        y = idx.entries[rng.choice(keys)].element
+        g = rng.choice(elements)
+        x = rng.choice(elements)
+        y = rng.choice(elements)
         u_key = G.model.canonical_key(G.model.multiply(G.model.invert(x), y))
-        if u_key not in idx.entries:
+        if u_key not in idx.index:
             x = ident
         triples.append((g, x, y))
     equivariant = combing.check_equivariance(sigma, triples)

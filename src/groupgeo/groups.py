@@ -442,9 +442,7 @@ def injectivity_on_ball(h: MarkedHomomorphism, n: int, max_elements: int = 10_00
     idx = ball(h.source, n + 1, max_elements=max_elements)
     seen: dict[bytes, bytes] = {}
     collisions = []
-    for key in idx.iter_keys_shortlex():
-        if idx.entries[key].distance > n:
-            break
+    for key in idx.keys_shortlex[: sum(idx.sphere_sizes[: n + 1])]:
         word = idx.geodesic_word(key)
         tkey = h.target.model.canonical_key(h.map_element_of_word(word))
         if tkey in seen and seen[tkey] != key:

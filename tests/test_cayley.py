@@ -49,11 +49,20 @@ class TestBall:
         with pytest.raises(MemoryCapExceeded):
             cayley.ball(get_group("free2"), 4, max_elements=10)
 
+    @pytest.mark.parametrize("group, radius", [("free2", 4), ("heis3", 3)])
+    def test_cap_boundary_is_exact(self, group, radius):
+        G = get_group(group)
+        n = len(cayley.ball(G, radius))
+        assert len(cayley.ball(G, radius, max_elements=n)) == n
+        with pytest.raises(MemoryCapExceeded) as exc:
+            cayley.ball(G, radius, max_elements=n - 1)
+        assert exc.value.radius == radius
+
     def test_nesting(self):
         small = cayley.ball(get_group("z2"), 3)
         big = cayley.ball(get_group("z2"), 5)
-        for key, entry in small.entries.items():
-            assert big.entries[key].distance == entry.distance
+        for key, d in zip(small.keys_shortlex, small.depth.tolist()):
+            assert big.depth[big.index[key]] == d
 
     def test_distances_are_exact_word_lengths(self):
         # brute force over all words of length <= 4 in the free group
@@ -66,8 +75,8 @@ class TestBall:
                 key = G.model.canonical_key(evaluate(w, G))
                 best.setdefault(key, n)
         assert len(best) == len(idx)
-        for key, entry in idx.entries.items():
-            assert best[key] == entry.distance
+        for key, d in zip(idx.keys_shortlex, idx.depth.tolist()):
+            assert best[key] == d
 
 
 class TestGeodesics:
@@ -96,12 +105,11 @@ class TestGeodesics:
         # are plentiful
         G = get_group("z2")
         idx = cayley.ball(G, 3)
-        for key in idx.iter_keys_shortlex():
-            entry = idx.entries[key]
+        for key, d in zip(idx.keys_shortlex, idx.depth.tolist()):
             got = idx.geodesic_word(key)
-            assert len(got) == entry.distance
+            assert len(got) == d
             assert G.model.canonical_key(evaluate(got, G)) == key
-            for codes in product(range(4), repeat=entry.distance):
+            for codes in product(range(4), repeat=d):
                 w = Word(tuple((c >> 1, 1 if c % 2 == 0 else -1) for c in codes))
                 if G.model.canonical_key(evaluate(w, G)) == key:
                     assert shortlex_compare(got, w, G.alphabet) <= 0
@@ -109,10 +117,10 @@ class TestGeodesics:
     def test_parent_chain_spells_entry_word(self):
         G = get_group("sl2z")
         idx = cayley.ball(G, 4)
-        for key in idx.iter_keys_shortlex():
+        for key, d in zip(idx.keys_shortlex, idx.depth.tolist()):
             w = idx.geodesic_word(key)
             assert G.model.canonical_key(evaluate(w, G)) == key
-            assert len(w) == idx.entries[key].distance
+            assert len(w) == d
 
 
 class TestMetric:
@@ -198,24 +206,87 @@ class TestDeterminism:
         assert self._csv(1) == self._csv(1)
 
 
+ZOO = ("braid3", "bs12", "free2", "heis3", "kleinfour", "sl2z", "z2")
+# (group, radius, word whose key stops enumeration early): every zoo group at
+# two radii -- kleinfour is exhausted at radius 5, so its last layer is empty
+# and each image equals its inverse; sl2z has edges inside the last
+# layer -- plus a ball cut short by _stop_key
+GRAPH_CASES = [(g, r, None) for g in ZOO for r in (2, 5)] + [("sl2z", 6, "a b a")]
+
+
+def _graph_case(group, radius, stop_word):
+    G = get_group(group)
+    stop_key = None
+    if stop_word is not None:
+        stop_key = G.model.canonical_key(evaluate(G.alphabet.parse_word(stop_word), G))
+    return cayley.ball(G, radius, _stop_key=stop_key)
+
+
+def _reference_csr(idx):
+    """Every row's n*m products redone, in letter-code order."""
+    G = idx.group
+    model = G.model
+    rows = []
+    for g in idx.elements:
+        row = []
+        for code in range(2 * len(G.alphabet)):
+            h = model.multiply(g, G.letter_image_by_code(code))
+            j = idx.index.get(model.canonical_key(h))
+            if j is not None:
+                row.append(j)
+        rows.append(row)
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    return indptr, np.array([j for row in rows for j in row], dtype=np.int32)
+
+
+def _reference_prefix_row(idx, key):
+    """The vertices of the geodesic word's prefixes, padded with the end."""
+    G = idx.group
+    word = idx.geodesic_word(key)
+    row = [
+        idx.index[G.model.canonical_key(evaluate(Word(word.letters[:t]), G))]
+        for t in range(len(word) + 1)
+    ]
+    return row + [row[-1]] * (idx.radius - len(word))
+
+
 class TestGraphViews:
-    def test_csr_is_symmetric(self):
-        idx = cayley.ball(get_group("free2"), 3)
+    @pytest.mark.parametrize("group, radius, stop_word", GRAPH_CASES)
+    def test_csr_is_symmetric(self, group, radius, stop_word):
+        idx = _graph_case(group, radius, stop_word)
         indptr, nbrs = idx.graph_csr()
         edges = set()
         for i in range(len(idx)):
             for j in nbrs[indptr[i]:indptr[i + 1]]:
                 edges.add((i, int(j)))
         assert all((j, i) in edges for i, j in edges)
+        ref_indptr, ref_nbrs = _reference_csr(idx)
+        assert indptr.tolist() == ref_indptr.tolist()
+        assert nbrs.dtype == np.int32
+        assert nbrs.tolist() == ref_nbrs.tolist()
+        # the closed table is kept: a second call gives the same graph
+        again = idx.graph_csr()
+        assert again[0].tolist() == indptr.tolist()
+        assert again[1].tolist() == nbrs.tolist()
 
-    def test_prefix_matrix_pads_endpoint(self):
-        idx = cayley.ball(get_group("free2"), 3)
+    @pytest.mark.parametrize("group, radius, stop_word", GRAPH_CASES)
+    def test_prefix_matrix_pads_endpoint(self, group, radius, stop_word):
+        idx = _graph_case(group, radius, stop_word)
         P = idx.prefix_matrix()
         assert P.dtype == np.int32
-        for i, key in enumerate(idx.keys_shortlex):
-            d = idx.entries[key].distance
+        assert P.shape == (len(idx), idx.radius + 1)
+        for i, (key, d) in enumerate(zip(idx.keys_shortlex, idx.depth.tolist())):
             assert P[i, 0] == 0  # every line starts at the identity
             assert (P[i, d:] == i).all()
+            assert P[i].tolist() == _reference_prefix_row(idx, key)
+
+    def test_deep_z_ball(self):
+        idx = cayley.ball(_z_group(), 300)
+        assert idx.sphere_sizes == [1] + [2] * 300
+        # shortlex puts x before x^-1, so the last vertex is x^-300 and the
+        # vertex of x^-t is 2t
+        assert idx.geodesic_word(idx.keys_shortlex[-1]) == Word(((0, -1),) * 300)
+        assert idx.prefix_matrix()[-1].tolist() == list(range(0, 601, 2))
 
     def test_csv_columns(self):
         idx = cayley.ball(get_group("kleinfour"), 2)
