@@ -5,6 +5,8 @@ its geodesic words and expanded letter by letter, so the first discovery of
 each new element is its (parent shortlex rank, letter)-least one: each
 vertex's parent chain spells the shortlex-least geodesic word for that
 element, and the ball, parent assignments included, is deterministic.
+Enumeration multiplies through ``MarkedGroup.letter_actions``, the model's
+right action of each letter (see ``groups``), never a general product.
 
 Layout.  A ball of n elements is stored once, in shortlex vertex order: each
 element gets its vertex number when it is first discovered, which is already
@@ -89,12 +91,12 @@ class BallIndex:
         m = 2 * len(self.group.alphabet)
         nbr = self._nbr
         if len(nbr) < len(self) * m:
-            model = self.group.model
-            images = [self.group.letter_image_by_code(c) for c in range(m)]
+            canonical_key = self.group.model.canonical_key
+            actions = self.group.letter_actions
             get = self.index.get
             for g in self.elements[len(nbr) // m:]:
-                for a in images:
-                    nbr.append(get(model.canonical_key(model.multiply(g, a)), -1))
+                for act in actions:
+                    nbr.append(get(canonical_key(act(g)), -1))
         return np.frombuffer(nbr, dtype=np.int32).reshape(len(self), m)
 
     def graph_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -173,8 +175,7 @@ def ball(
     if n < 0:
         raise ValueError("radius must be >= 0")
     model = G.model
-    multiply, canonical_key = model.multiply, model.canonical_key
-    images = [G.letter_image_by_code(c) for c in range(2 * len(G.alphabet))]
+    canonical_key, actions = model.canonical_key, G.letter_actions
     ident = model.identity
     keys = [canonical_key(ident)]
     elements = [ident]
@@ -196,8 +197,8 @@ def ball(
         layer_end = size
         for v in range(layer_start, layer_end):
             g = elements[v]
-            for code, a in enumerate(images):
-                h = multiply(g, a)
+            for code, act in enumerate(actions):
+                h = act(g)
                 hk = canonical_key(h)
                 j = get(hk)
                 if j is None:

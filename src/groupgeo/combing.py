@@ -20,7 +20,6 @@ reports carry distance_mode so this is never silent.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -62,14 +61,10 @@ class DiscretePath:
 
     def validate_steps(self, G: MarkedGroup) -> bool:
         """Each consecutive pair differs by one marked letter."""
-        model = G.model
-        codes = range(2 * len(G.alphabet))
+        canonical_key = G.model.canonical_key
         for a, b in zip(self.vertices, self.vertices[1:]):
-            key = model.canonical_key(b)
-            if not any(
-                model.canonical_key(model.multiply(a, G.letter_image_by_code(c))) == key
-                for c in codes
-            ):
+            key = canonical_key(b)
+            if not any(canonical_key(act(a)) == key for act in G.letter_actions):
                 return False
         return True
 
@@ -119,10 +114,11 @@ class ShortlexBicombing(Bicombing):
         model = self.group.model
         u = model.multiply(model.invert(x), y)
         word = self.index.geodesic_word(self._lookup(u))
+        letter_key, actions = self.group.alphabet.letter_key, self.group.letter_actions
         vertices = [x]
         acc = x
         for letter in word:
-            acc = model.multiply(acc, self.group.letter_image(letter))
+            acc = actions[letter_key(letter)](acc)
             vertices.append(acc)
         return DiscretePath(tuple(vertices))
 
@@ -284,19 +280,20 @@ def check_bounded(
     )
 
 
-def _multi_source_distances(indptr, nbrs, n: int, sources: Sequence[int]) -> np.ndarray:
-    dist = np.full(n, -1, dtype=np.int64)
-    q = deque()
-    for s in sources:
-        dist[s] = 0
-        q.append(s)
-    while q:
-        u = q.popleft()
-        d = dist[u] + 1
-        for v in nbrs[indptr[u]:indptr[u + 1]]:
-            if dist[v] < 0:
-                dist[v] = d
-                q.append(int(v))
+def _multi_source_distances(table: np.ndarray, sources: Sequence[int]) -> np.ndarray:
+    """Graph distance from every vertex to the nearest source (-1 when none
+    is reachable), by a level-synchronous BFS over the n x m neighbour
+    table; -1 entries (products outside the ball) are skipped."""
+    dist = np.full(len(table), -1, dtype=np.int64)
+    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    dist[frontier] = 0
+    d = 0
+    while frontier.size:
+        d += 1
+        reached = table[frontier].ravel()
+        reached = reached[reached >= 0]
+        frontier = np.unique(reached[dist[reached] < 0])
+        dist[frontier] = d
     return dist
 
 
@@ -305,8 +302,7 @@ def _quasiconvexity_over_members(
 ) -> ConstantsReport:
     """k = max over member vertices h and times t of d(line(1,h)(t), member
     set), distances taken in the ball graph."""
-    indptr, nbrs = idx.graph_csr()
-    to_H = _multi_source_distances(indptr, nbrs, len(idx), members)
+    to_H = _multi_source_distances(idx._neighbour_table(), members)
     paths = idx.prefix_matrix()
     best = -1
     witness = None

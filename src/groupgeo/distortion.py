@@ -18,7 +18,7 @@ from typing import IO, Callable, Optional, Sequence
 from . import cayley
 from .errors import TooFewPoints
 from .groups import Element, MarkedGroup, MarkedHomomorphism
-from .words import Word
+from .words import Alphabet, Word
 
 
 class SubgroupModel(ABC):
@@ -113,7 +113,8 @@ class HomImage(SubgroupModel):
 
 
 class EnumeratedWithCap(SubgroupModel):
-    """Subgroup listed by BFS over given subgroup generators, up to a cap.
+    """Subgroup listed by its Cayley ball over given subgroup generators, up
+    to a cap radius.
 
     Membership and lengths are exact inside the enumerated ball; outside it
     answers are capped, so profiles built on this oracle are lower bounds
@@ -123,38 +124,27 @@ class EnumeratedWithCap(SubgroupModel):
     def __init__(self, ambient: MarkedGroup, sub_generators: Sequence[Element],
                  cap_radius: int, max_elements: int = cayley.DEFAULT_MAX_ELEMENTS):
         self.ambient = ambient
-        model = ambient.model
-        gens = list(sub_generators) + [model.invert(g) for g in sub_generators]
-        self._lengths = {model.canonical_key(model.identity): 0}
-        frontier = [model.identity]
-        exhausted = True
-        for r in range(1, cap_radius + 1):
-            nxt = []
-            for h in frontier:
-                for s in gens:
-                    e = model.multiply(h, s)
-                    ek = model.canonical_key(e)
-                    if ek not in self._lengths:
-                        self._lengths[ek] = r
-                        nxt.append(e)
-            if len(self._lengths) > max_elements:
-                raise cayley.MemoryCapExceeded(max_elements, r)
-            frontier = nxt
-            if not frontier:
-                break
-        else:
-            exhausted = not frontier
-        self._exhausted = exhausted
+        gens = tuple(sub_generators)
+        H = MarkedGroup(
+            model=ambient.model,
+            alphabet=Alphabet(f"h{i}" for i in range(len(gens))),
+            marking=gens,
+        )
+        idx = cayley.ball(H, cap_radius, max_elements=max_elements)
+        self._index = idx.index
+        self._depth = idx.depth.tolist()
+        self._exhausted = idx.sphere_sizes[-1] == 0
 
     @property
     def is_exact(self) -> bool:
         return self._exhausted
 
     def contains(self, g: Element) -> bool:
-        return self.ambient.model.canonical_key(g) in self._lengths
+        return self.ambient.model.canonical_key(g) in self._index
 
     def length_in_H(self, g: Element) -> Optional[int]:
-        return self._lengths.get(self.ambient.model.canonical_key(g))
+        v = self._index.get(self.ambient.model.canonical_key(g))
+        return None if v is None else self._depth[v]
 
 
 @dataclass

@@ -9,6 +9,14 @@ Permutation braids are encoded as permutations of ``range(n)`` mapping a
 strand's starting position to its ending position; braids compose left to
 right.  Starting and finishing sets are the descent sets of the permutation
 and its inverse.
+
+Caches.  ``_inv``, ``_descents`` and ``_tau`` are memoised per permutation,
+at most n! entries each for n strands, and ``_left_weighted`` per pair of
+simple braids, at most n!^2 entries: 36 at 3 strands, 576 at 4.  They fill
+lazily as products meet new permutations, so building a model costs
+nothing, and every product, not only a product by a generator, reuses them.
+``BraidGroup`` has no right action of its own: a product by a generator
+renormalises through the cached pairs.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ def _comp(p: Perm, q: Perm) -> Perm:
     return tuple(q[v] for v in p)
 
 
+@lru_cache(maxsize=None)
 def _inv(p: Perm) -> Perm:
     out = [0] * len(p)
     for i, v in enumerate(p):
@@ -32,8 +41,9 @@ def _inv(p: Perm) -> Perm:
     return tuple(out)
 
 
-def _descents(p: Perm) -> set[int]:
-    return {i for i in range(len(p) - 1) if p[i] > p[i + 1]}
+@lru_cache(maxsize=None)
+def _descents(p: Perm) -> frozenset[int]:
+    return frozenset(i for i in range(len(p) - 1) if p[i] > p[i + 1])
 
 
 @lru_cache(maxsize=None)
@@ -48,6 +58,28 @@ def _half_twist(n: int) -> Perm:
     return tuple(range(n - 1, -1, -1))
 
 
+@lru_cache(maxsize=None)
+def _tau(p: Perm) -> Perm:
+    """Conjugation by the half twist, Delta^-1 p Delta, on a simple braid."""
+    w0 = _half_twist(len(p))
+    return _comp(w0, _comp(p, w0))
+
+
+@lru_cache(maxsize=None)
+def _left_weighted(a: Perm, b: Perm) -> tuple[Perm, Perm]:
+    """Slide head crossings of b into a until S(b) is contained in F(a)."""
+    n = len(a)
+    while True:
+        movable = _descents(b) - _descents(_inv(a))
+        if not movable:
+            return a, b
+        # move one crossing at a time; the descent sets shift after each slide
+        i = min(movable)
+        s = _transposition(n, i)
+        a = _comp(a, s)
+        b = _comp(s, b)
+
+
 class BraidGroup(GroupModel):
     """The braid group on ``n`` strands (Artin generators s1 .. s_{n-1})."""
 
@@ -60,21 +92,6 @@ class BraidGroup(GroupModel):
 
     # -- normal form machinery -------------------------------------------
 
-    def _left_weighted(self, a: Perm, b: Perm) -> tuple[Perm, Perm]:
-        """Slide head crossings of b into a until S(b) is contained in F(a)."""
-        n = self.n
-        while True:
-            start_b = _descents(b)
-            finish_a = _descents(_inv(a))
-            movable = start_b - finish_a
-            if not movable:
-                return a, b
-            # move one crossing at a time; the descent sets shift after each slide
-            i = min(movable)
-            s = _transposition(n, i)
-            a = _comp(a, s)
-            b = _comp(s, b)
-
     def _normalize(self, d: int, factors: list[Perm]) -> tuple[int, tuple[Perm, ...]]:
         ident = self._id_perm
         delta = self._delta
@@ -83,7 +100,7 @@ class BraidGroup(GroupModel):
         while changed:
             changed = False
             for i in range(len(factors) - 1):
-                a, b = self._left_weighted(factors[i], factors[i + 1])
+                a, b = _left_weighted(factors[i], factors[i + 1])
                 if (a, b) != (factors[i], factors[i + 1]):
                     factors[i], factors[i + 1] = a, b
                     changed = True
@@ -94,10 +111,6 @@ class BraidGroup(GroupModel):
             lo += 1
             d += 1
         return d, tuple(factors[lo:])
-
-    def _tau(self, p: Perm) -> Perm:
-        w0 = self._delta
-        return _comp(w0, _comp(p, w0))
 
     # -- GroupModel contract ----------------------------------------------
 
@@ -119,7 +132,7 @@ class BraidGroup(GroupModel):
         d1, f1 = x
         d2, f2 = y
         if d2 % 2:
-            f1 = tuple(self._tau(p) for p in f1)
+            f1 = tuple(_tau(p) for p in f1)
         return self._normalize(d1 + d2, list(f1) + list(f2))
 
     def invert(self, x):

@@ -4,6 +4,25 @@ Every model answers the word problem exactly through ``canonical_key``:
 two elements are equal in the group iff their keys are equal bytes.  All
 arithmetic is exact (Python integers never wrap), so keys are collision-free
 by construction.
+
+Right actions.  Enumeration, the ball's neighbour table and the combing
+lines only ever multiply by a marked letter, so ``GroupModel.right_action(y)``
+returns a callable x -> x * y that a model may specialise to y
+(Epstein et al., *Word Processing in Groups*, 1992, ch. 2-3).
+``MarkedGroup.letter_actions`` holds one per letter code, built once with
+the marking.  The default calls ``multiply``.  The overrides are:
+
+* ``IntegerMatrixGroup``: for an elementary image y = I + s e_ij (i != j,
+  s = +-1), x * y adds s times column i to column j, reusing every row whose
+  entry i is 0.
+* ``FreeGroupModel``: for a one-letter image c, x * c drops the last code
+  of x when it is c^-1 and appends c otherwise.
+* ``DirectProduct``: for an image that differs from the identity in one
+  factor only, x * y replaces that component through the factor's own
+  action.
+
+Any other image falls back to ``multiply``.  None of the actions caches
+anything, so they cost O(|X|) closures per marked group.
 """
 
 from __future__ import annotations
@@ -34,6 +53,12 @@ class GroupModel(ABC):
 
     @abstractmethod
     def canonical_key(self, x: Element) -> bytes: ...
+
+    def right_action(self, y: Element) -> Callable[[Element], Element]:
+        """The map x -> x * y.  Models override it for images they can apply
+        faster than a general product; the default looks ``multiply`` up on
+        each call."""
+        return lambda x: self.multiply(x, y)
 
     def equal(self, x: Element, y: Element) -> bool:
         return self.canonical_key(x) == self.canonical_key(y)
@@ -146,6 +171,7 @@ class IntegerMatrixGroup(GroupModel):
         self._identity = tuple(
             tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
         )
+        self._key_format = b"m" + b",".join([b"%d"] * (dim * dim))
 
     @property
     def identity(self):
@@ -175,8 +201,35 @@ class IntegerMatrixGroup(GroupModel):
             return tuple(tuple(-v for v in row) for row in adj)
         raise ValueError("matrix is not invertible over the integers")
 
+    def right_action(self, y):
+        elementary = self._elementary(y)
+        if elementary is None:
+            return super().right_action(y)
+        i, j, s = elementary
+
+        def act(x):
+            # column j += s * column i; a row with entry i zero is unchanged
+            return tuple([
+                row[:j] + (row[j] + s * row[i],) + row[j + 1:] if row[i] else row
+                for row in x
+            ])
+
+        return act
+
+    def _elementary(self, y) -> Optional[tuple[int, int, int]]:
+        """(i, j, s) when y = I + s e_ij with i != j and s = +-1, else None."""
+        off = [
+            (i, j, v)
+            for i, row in enumerate(y)
+            for j, v in enumerate(row)
+            if v != (i == j)
+        ]
+        if len(off) == 1 and off[0][0] != off[0][1] and off[0][2] in (1, -1):
+            return off[0]
+        return None
+
     def canonical_key(self, x) -> bytes:
-        return b"m" + b",".join(b"%d" % v for row in x for v in row)
+        return self._key_format % sum(x, ())
 
 
 class DyadicAffineGroup(GroupModel):
@@ -260,6 +313,13 @@ class FreeGroupModel(GroupModel):
             return x + y
         return tuple(ops.free_reduce(x + y))
 
+    def right_action(self, y):
+        if len(y) != 1:
+            return super().right_action(y)
+        (c,) = y
+        inv = c ^ 1
+        return lambda x: x[:-1] if x and x[-1] == inv else x + y
+
     def invert(self, x):
         return tuple(c ^ 1 for c in reversed(x))
 
@@ -281,6 +341,16 @@ class DirectProduct(GroupModel):
 
     def multiply(self, x, y):
         return tuple(f.multiply(a, b) for f, a, b in zip(self.factors, x, y))
+
+    def right_action(self, y):
+        # a component equal to the factor's identity as a value is the
+        # identity; any other counts as moved, which at worst falls back
+        moved = [k for k, (f, b) in enumerate(zip(self.factors, y)) if b != f.identity]
+        if len(moved) != 1:
+            return super().right_action(y)
+        (k,) = moved
+        act = self.factors[k].right_action(y[k])
+        return lambda x: x[:k] + (act(x[k]),) + x[k + 1:]
 
     def invert(self, x):
         return tuple(f.invert(a) for f, a in zip(self.factors, x))
@@ -306,6 +376,8 @@ class MarkedGroup:
     norm_oracle: Optional[Callable[[Element], int]] = None
     name: Optional[str] = None
     _letter_images: tuple = field(init=False, repr=False, default=())
+    # x -> x * letter_image_by_code(c), one per letter code c
+    letter_actions: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         if len(self.marking) != len(self.alphabet):
@@ -315,10 +387,7 @@ class MarkedGroup:
             images.append(g)
             images.append(self.model.invert(g))
         self._letter_images = tuple(images)
-
-    def letter_image(self, letter) -> Element:
-        idx, sign = letter
-        return self._letter_images[2 * idx + (0 if sign > 0 else 1)]
+        self.letter_actions = tuple(self.model.right_action(a) for a in images)
 
     def letter_image_by_code(self, code: int) -> Element:
         return self._letter_images[code]
@@ -332,8 +401,9 @@ def evaluate(w: Word, G: MarkedGroup) -> Element:
     """The monoid map from words to the group: left-to-right product of
     marked images, inverse letters through ``invert``."""
     acc = G.model.identity
+    letter_key, actions = G.alphabet.letter_key, G.letter_actions
     for letter in w:
-        acc = G.model.multiply(acc, G.letter_image(letter))
+        acc = actions[letter_key(letter)](acc)
     return acc
 
 

@@ -1,10 +1,13 @@
+import random
+from collections import deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from groupgeo import cayley, combing, distortion
 from groupgeo.errors import CapExceeded, TooFewPoints
-from groupgeo.experiments import AmbientAsSubgroup, get_group
+from groupgeo.experiments import _CENTRALIZER_WORDS, AmbientAsSubgroup, get_group, zoo_names
 from groupgeo.groups import evaluate
 
 
@@ -245,3 +248,50 @@ class TestCentralizers:
         assert report.witnesses["psi_max_length"] <= 1
         for row in report.witnesses["conjugators"]:
             evaluate(G.alphabet.parse_word(row["psi"]), G)
+
+
+def _reference_multi_source_distances(indptr, nbrs, n, sources):
+    """Queue BFS over the CSR graph, one vertex at a time."""
+    dist = np.full(n, -1, dtype=np.int64)
+    q = deque()
+    for s in sources:
+        dist[s] = 0
+        q.append(s)
+    while q:
+        u = q.popleft()
+        d = dist[u] + 1
+        for v in nbrs[indptr[u]:indptr[u + 1]]:
+            if dist[v] < 0:
+                dist[v] = d
+                q.append(int(v))
+    return dist
+
+
+def _assert_bfs_matches_reference(idx, sources):
+    indptr, nbrs = idx.graph_csr()
+    got = combing._multi_source_distances(idx._neighbour_table(), sources)
+    want = _reference_multi_source_distances(indptr, nbrs, len(idx), sources)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+class TestMultiSourceDistances:
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_matches_reference_on_zoo_balls(self, name):
+        G = get_group(name)
+        idx = cayley.ball(G, 5)
+        members = list(combing._conjugators_in_ball(
+            G, idx, _elt(G, _CENTRALIZER_WORDS[name]), _elt(G, _CENTRALIZER_WORDS[name]), 5
+        ))
+        rng = random.Random(name)
+        for sources in (members, [0], [len(idx) - 1],
+                        rng.sample(range(len(idx)), min(7, len(idx))), []):
+            _assert_bfs_matches_reference(idx, sources)
+
+    def test_matches_reference_on_free2_centralizer_members(self):
+        G = get_group("free2")
+        idx = cayley.ball(G, 10)
+        a = _elt(G, "x y")
+        members = list(combing._conjugators_in_ball(G, idx, a, a, 10))
+        assert len(members) == 11  # (x y)^k, |k| <= 5
+        _assert_bfs_matches_reference(idx, members)

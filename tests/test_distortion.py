@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from groupgeo import cayley, distortion
-from groupgeo.errors import TooFewPoints
+from groupgeo.errors import MemoryCapExceeded, TooFewPoints
 from groupgeo.experiments import (
     AmbientAsSubgroup,
     _bs12_axis_exponent,
@@ -28,6 +28,27 @@ def _center_in_heis3():
     G = get_group("heis3")
     z = G.model.element([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
     return G, distortion.CyclicExact(G, z, _heis_center_exponent)
+
+
+def _reference_subgroup_bfs(model, gens, cap_radius):
+    """key -> length over the subgroup generated by ``gens``, up to the cap,
+    and whether an empty layer was reached: a plain BFS over products."""
+    gens = list(gens) + [model.invert(g) for g in gens]
+    lengths = {model.canonical_key(model.identity): 0}
+    frontier = [model.identity]
+    for r in range(1, cap_radius + 1):
+        nxt = []
+        for h in frontier:
+            for s in gens:
+                e = model.multiply(h, s)
+                ek = model.canonical_key(e)
+                if ek not in lengths:
+                    lengths[ek] = r
+                    nxt.append(e)
+        frontier = nxt
+        if not frontier:
+            return lengths, True
+    return lengths, False
 
 
 class TestOracles:
@@ -81,6 +102,40 @@ class TestOracles:
         H = distortion.EnumeratedWithCap(G, [G.marking[0]], cap_radius=5)
         assert H.is_exact
         assert H.length_in_H(G.marking[0]) == 1
+
+    @pytest.mark.parametrize("group, words, cap", [
+        ("z2", ("x y", "x"), 4),
+        ("heis3", ("a", "a b a^-1 b^-1"), 4),
+        ("sl2z", ("a", "b b"), 5),
+        ("free2", ("x y", "y x^-1"), 3),
+        ("kleinfour", ("x", "y"), 1),
+        ("kleinfour", ("x", "y"), 2),  # exhausted exactly at the cap
+        ("kleinfour", ("x", "y"), 3),
+        ("braid3", ("s1 s2",), 4),
+    ])
+    def test_enumerated_matches_reference_bfs(self, group, words, cap):
+        G = get_group(group)
+        gens = [evaluate(G.alphabet.parse_word(w), G) for w in words]
+        H = distortion.EnumeratedWithCap(G, gens, cap_radius=cap)
+        lengths, exhausted = _reference_subgroup_bfs(G.model, gens, cap)
+        assert {k: H._depth[v] for k, v in H._index.items()} == lengths
+        assert H.is_exact == exhausted
+
+    def test_enumerated_exact_only_after_an_empty_layer(self):
+        # the Klein four ball closes at radius 2: at cap 2 the oracle has not
+        # yet seen the empty layer
+        G = get_group("kleinfour")
+        assert not distortion.EnumeratedWithCap(G, G.marking, cap_radius=2).is_exact
+        assert distortion.EnumeratedWithCap(G, G.marking, cap_radius=3).is_exact
+
+    def test_enumerated_cap_boundary(self):
+        G = get_group("free2")
+        n = 1 + 4 + 12 + 36  # |B(3)| of the rank-2 free group
+        H = distortion.EnumeratedWithCap(G, G.marking, cap_radius=3, max_elements=n)
+        assert len(H._index) == n
+        with pytest.raises(MemoryCapExceeded) as exc:
+            distortion.EnumeratedWithCap(G, G.marking, cap_radius=3, max_elements=n - 1)
+        assert exc.value.radius == 3
 
 
 class TestDistortionProfile:

@@ -1,7 +1,10 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from groupgeo.garside import BraidGroup, _comp, _descents, _half_twist, _inv
+from groupgeo import cayley
+from groupgeo.garside import BraidGroup, _comp, _descents, _half_twist, _inv, _left_weighted
+from groupgeo.groups import MarkedGroup
+from groupgeo.words import Alphabet
 
 B3 = BraidGroup(3)
 
@@ -166,3 +169,28 @@ class TestBurauOracle:
         u = [(0, 1), (0, 1)]
         assert B3.canonical_key(braid(u)) != B3.canonical_key(B3.identity)
         assert not self._burau_equal(self._burau(u), self._burau([]))
+
+
+B4 = BraidGroup(4)
+B4_MARKED = MarkedGroup(
+    model=B4,
+    alphabet=Alphabet(("s1", "s2", "s3")),
+    marking=tuple(B4.generator(i) for i in range(3)),
+)
+
+
+class TestFourStrands:
+    @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))), max_size=10))
+    @settings(max_examples=80)
+    def test_letter_actions_match_multiply(self, letters):
+        x = B4.from_artin_word(letters)
+        for c, act in enumerate(B4_MARKED.letter_actions):
+            want = B4.multiply(x, B4_MARKED.letter_image_by_code(c))
+            assert B4.canonical_key(act(x)) == B4.canonical_key(want)
+            assert B4.is_normal_form(act(x))
+
+    def test_left_weighted_cache_is_bounded_by_pairs_of_simple_braids(self):
+        _left_weighted.cache_clear()
+        cayley.ball(B4_MARKED, 5)
+        # every cached pair is a pair of permutations of range(4): 4!^2
+        assert 0 < _left_weighted.cache_info().currsize <= 576

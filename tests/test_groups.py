@@ -278,3 +278,143 @@ class TestIndexTwoRetraction:
             moved = retract(g)
             diff = model.multiply(model.invert(g), moved)
             assert len(diff) <= 1
+
+
+# -- right actions of letters -----------------------------------------------
+
+codes = st.lists(st.integers(0, 63), max_size=12)
+
+
+def _product(G, picks):
+    """The product of letter images through ``multiply`` alone, the oracle
+    for ``letter_actions``; ``picks`` are reduced modulo the letter count."""
+    m = 2 * len(G.alphabet)
+    acc = G.model.identity
+    for c in picks:
+        acc = G.model.multiply(acc, G.letter_image_by_code(c % m))
+    return acc
+
+
+def _assert_actions_match(G, picks):
+    model = G.model
+    x = _product(G, picks)
+    for c, act in enumerate(G.letter_actions):
+        want = model.multiply(x, G.letter_image_by_code(c))
+        assert model.canonical_key(act(x)) == model.canonical_key(want)
+
+
+def _counting_multiply(model):
+    """Count the calls the model's actions make to ``multiply``."""
+    calls = [0]
+    multiply = model.multiply
+
+    def counted(x, y):
+        calls[0] += 1
+        return multiply(x, y)
+
+    model.multiply = counted
+    return calls
+
+
+ZOO = ("z2", "free2", "sl2z", "bs12", "heis3", "braid3", "kleinfour")
+
+
+class TestLetterActions:
+    @pytest.mark.parametrize("name", ZOO)
+    @given(picks=codes)
+    def test_actions_match_multiply_on_the_zoo(self, name, picks):
+        _assert_actions_match(get_group(name), picks)
+
+    @pytest.mark.parametrize("name, multiplies", [
+        ("heis3", 0), ("free2", 0), ("z2", 0), ("sl2z", 4), ("bs12", 4),
+    ])
+    def test_which_letters_fall_back_to_multiply(self, name, multiplies):
+        G = get_group(name)
+        calls = _counting_multiply(G.model)
+        x = G.marking[0]
+        for act in G.letter_actions:
+            act(x)
+        assert calls[0] == multiplies
+
+    def test_sl2z_letters_are_not_elementary(self):
+        G = get_group("sl2z")
+        assert all(G.model._elementary(a) is None for a in G._letter_images)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from((1, -1))),
+                 min_size=1, max_size=8),
+        st.permutations(range(3)),
+        st.sampled_from((1, -1)),
+        codes,
+    )
+    def test_random_unimodular_image(self, ops, perm, sign, picks):
+        # a det +-1 matrix built from elementary row operations, a row
+        # permutation and a sign, next to an elementary letter
+        M = IntegerMatrixGroup(3)
+        rows = [list(r) for r in M.identity]
+        for i, j, s in ops:
+            if i != j:
+                rows[i] = [a + s * b for a, b in zip(rows[i], rows[j])]
+        rows = [rows[p] for p in perm]
+        rows[0] = [sign * v for v in rows[0]]
+        g = M.element(rows)
+        e = M.element([[1, 0, 0], [0, 1, 0], [1, 0, 1]])
+        G = MarkedGroup(model=M, alphabet=Alphabet(("g", "e")), marking=(g, e))
+        _assert_actions_match(G, picks)
+
+    @given(codes)
+    def test_product_image_in_two_factors_falls_back(self, picks):
+        P = DirectProduct((FreeGroupModel(1), FreeGroupModel(2)))
+        one = (P.factors[0].generator(0), P.factors[1].identity)
+        both = (P.factors[0].generator(0), P.factors[1].generator(1))
+        G = MarkedGroup(model=P, alphabet=Alphabet(("a", "b")), marking=(one, both))
+        _assert_actions_match(G, picks)
+        calls = _counting_multiply(P)
+        for act in G.letter_actions:
+            act(P.identity)
+        assert calls[0] == 2  # the two letters of ``both``
+
+    @given(codes)
+    def test_two_letter_free_image_falls_back(self, picks):
+        F = FreeGroupModel(2)
+        G = MarkedGroup(
+            model=F, alphabet=Alphabet(("x", "w")),
+            marking=(F.generator(0), F.multiply(F.generator(0), F.generator(1))),
+        )
+        _assert_actions_match(G, picks)
+        calls = _counting_multiply(F)
+        for act in G.letter_actions:
+            act((1, 3))
+        assert calls[0] == 2
+
+    def test_free_action_cancels_or_appends(self):
+        G = get_group("free2")
+        x, x_inv, y = G.letter_actions[0], G.letter_actions[1], G.letter_actions[2]
+        assert x_inv((2, 0)) == (2,)
+        assert x((2, 0)) == (2, 0, 0)
+        assert y(()) == (2,)
+        assert x_inv(()) == (1,)
+
+
+class TestMatrixKeys:
+    @staticmethod
+    def _joined_key(x):
+        # the key's byte layout: "m" then the row-major entries, comma-joined
+        return b"m" + b",".join(b"%d" % v for row in x for v in row)
+
+    def test_negative_and_multi_digit_entries(self):
+        M = IntegerMatrixGroup(3)
+        x = ((1, -12, 0), (345, 1, -7), (0, 10 ** 20, -1))
+        assert M.canonical_key(x) == (
+            b"m1,-12,0,345,1,-7,0,100000000000000000000,-1"
+        )
+        assert M.canonical_key(x) == self._joined_key(x)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @given(data=st.data())
+    def test_matches_joined_form(self, dim, data):
+        entries = st.integers(-(10 ** 30), 10 ** 30)
+        x = tuple(
+            tuple(data.draw(entries) for _ in range(dim)) for _ in range(dim)
+        )
+        assert IntegerMatrixGroup(dim).canonical_key(x) == self._joined_key(x)
