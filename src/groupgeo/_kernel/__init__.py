@@ -1,6 +1,7 @@
-"""Kernel selection: the compiled all-pairs BFS when it is built, the pure
-fallback otherwise.  Both kernels share the Python ``free_reduce`` and the
-numpy ``max_bounded_defect``.
+"""Kernel selection: the compiled all-pairs BFS when it is built, the numpy
+fallback otherwise.  Both kernels share the Python ``free_reduce``, the CSR
+check and the numpy ``max_bounded_defect``; the fallback BFS runs the
+library's one Python BFS, ``_ops_py.multi_source_distances``, per source.
 
 Set ``GROUPGEO_PURE_PYTHON=1`` to force the fallback (used by the benchmark
 and by tests that compare the two implementations).

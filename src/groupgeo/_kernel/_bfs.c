@@ -1,8 +1,9 @@
 /* All-pairs BFS on an unweighted graph in CSR form: the one compiled loop.
  * all_pairs_bfs(indptr, nbrs, n) takes C-contiguous int64 indptr and int32
- * nbrs buffers, which _ops_c.all_pairs_bfs has checked to be a valid CSR
- * graph on n vertices, and returns an n*n bytearray of uint8 distances, 255
- * where unreachable.  _ops_py.all_pairs_bfs is the reference. */
+ * nbrs buffers, which _ops_py.check_csr has checked to be a valid CSR graph
+ * on n vertices, and returns an n*n bytearray of uint8 distances, 255 where
+ * unreachable; a distance above 254 raises.  It has the contract of the
+ * numpy fallback _ops_py.all_pairs_bfs, and the tests compare the two. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
@@ -40,13 +41,13 @@ static PyObject *all_pairs_bfs(PyObject *self, PyObject *args)
         for (head = 0, tail = 1; head < tail; head++) {
             int32_t u = queue[head];
             int d = row[u] + 1;
-            if (d >= UNREACHED) {
-                PyErr_SetString(PyExc_ValueError, "graph diameter exceeds uint8 range");
-                Py_CLEAR(out);
-                goto done;
-            }
             for (j = indptr[u]; j < indptr[u + 1]; j++) {
                 if (row[nbrs[j]] == UNREACHED) {
+                    if (d >= UNREACHED) {
+                        PyErr_SetString(PyExc_ValueError, "graph diameter exceeds uint8 range");
+                        Py_CLEAR(out);
+                        goto done;
+                    }
                     row[nbrs[j]] = (uint8_t)d;
                     queue[tail++] = nbrs[j];
                 }

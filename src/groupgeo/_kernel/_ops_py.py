@@ -1,11 +1,16 @@
 """The kernel's Python/numpy functions.
 
-``free_reduce`` and ``max_bounded_defect`` are the only implementations and
-serve both kernels; ``all_pairs_bfs`` is the fallback BFS and the reference
-for the compiled one in ``_bfs.c``.
+``free_reduce``, ``max_bounded_defect`` and the CSR check ``check_csr`` are
+the only implementations and serve both kernels.  ``multi_source_distances``
+is the library's one Python BFS: the quasi-convexity checks call it on a
+ball's neighbour table, and the fallback ``all_pairs_bfs`` calls it once per
+source.  The fallback and the compiled BFS in ``_bfs.c`` are tested against
+each other.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -25,31 +30,57 @@ def free_reduce(codes):
     return out
 
 
+def check_csr(indptr, nbrs, n):
+    """``(indptr, nbrs)`` as C-contiguous int64 and int32 arrays.  Raises
+    ValueError unless they are a CSR graph on n vertices: indptr has n + 1
+    nondecreasing entries from 0 to len(nbrs), and every neighbour is in
+    range.  Both kernels check their input here."""
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    nbrs = np.ascontiguousarray(nbrs, dtype=np.int32)
+    if (
+        n < 0 or indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != len(nbrs)
+        or (np.diff(indptr) < 0).any() or (nbrs < 0).any() or (nbrs >= n).any()
+    ):
+        raise ValueError("malformed CSR graph")
+    return indptr, nbrs
+
+
+def multi_source_distances(table: np.ndarray, sources: Sequence[int]) -> np.ndarray:
+    """Graph distance from every vertex to the nearest source (-1 when none
+    is reachable), by a level-synchronous BFS over the n x m neighbour
+    table; -1 entries (products outside the ball) are skipped."""
+    dist = np.full(len(table), -1, dtype=np.int64)
+    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    dist[frontier] = 0
+    d = 0
+    while frontier.size:
+        d += 1
+        reached = table[frontier].ravel()
+        reached = reached[reached >= 0]
+        frontier = np.unique(reached[dist[reached] < 0])
+        dist[frontier] = d
+    return dist
+
+
 def all_pairs_bfs(indptr, nbrs, n):
     """All-pairs BFS distances on an unweighted graph in CSR form.
 
-    Returns a uint8 matrix; unreachable pairs hold 255.  Distances above 254
-    are not representable and raise.
+    Row ``src`` holds the distances along out-edges from ``src``, so
+    directed graphs are handled.  Returns a uint8 matrix; unreachable pairs
+    hold 255.  Distances above 254 are not representable and raise.
     """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    nbrs = np.asarray(nbrs, dtype=np.int32)
-    dist = np.full((n, n), UNREACHED, dtype=np.uint8)
+    indptr, nbrs = check_csr(indptr, nbrs, n)
+    # out-neighbour table: row u lists nbrs[indptr[u]:indptr[u+1]], padded with -1
+    deg = np.diff(indptr)
+    table = np.full((n, int(deg.max(initial=0))), -1, dtype=np.int32)
+    table[np.arange(n).repeat(deg), np.arange(len(nbrs)) - indptr[:-1].repeat(deg)] = nbrs
+    dist = np.empty((n, n), dtype=np.uint8)
     for src in range(n):
-        row = dist[src]
-        row[src] = 0
-        frontier = [src]
-        d = 0
-        while frontier:
-            d += 1
-            if d >= UNREACHED:
-                raise ValueError("graph diameter exceeds uint8 range")
-            nxt = []
-            for u in frontier:
-                for v in nbrs[indptr[u]:indptr[u + 1]]:
-                    if row[v] == UNREACHED:
-                        row[v] = d
-                        nxt.append(v)
-            frontier = nxt
+        row = multi_source_distances(table, [src])
+        if row.max() >= UNREACHED:
+            raise ValueError("graph diameter exceeds uint8 range")
+        row[row < 0] = UNREACHED
+        dist[src] = row
     return dist
 
 

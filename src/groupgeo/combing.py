@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import cayley
 from ._kernel import ops
+from ._kernel._ops_py import multi_source_distances
 from .distortion import SubgroupModel
 from .errors import CapExceeded, MemoryCapExceeded, TooFewPoints
 from .groups import Element, MarkedGroup
@@ -280,29 +279,13 @@ def check_bounded(
     )
 
 
-def _multi_source_distances(table: np.ndarray, sources: Sequence[int]) -> np.ndarray:
-    """Graph distance from every vertex to the nearest source (-1 when none
-    is reachable), by a level-synchronous BFS over the n x m neighbour
-    table; -1 entries (products outside the ball) are skipped."""
-    dist = np.full(len(table), -1, dtype=np.int64)
-    frontier = np.unique(np.asarray(sources, dtype=np.int64))
-    dist[frontier] = 0
-    d = 0
-    while frontier.size:
-        d += 1
-        reached = table[frontier].ravel()
-        reached = reached[reached >= 0]
-        frontier = np.unique(reached[dist[reached] < 0])
-        dist[frontier] = d
-    return dist
-
-
 def _quasiconvexity_over_members(
-    G: MarkedGroup, idx: cayley.BallIndex, members: list[int]
+    G: MarkedGroup, idx: cayley.BallIndex, members: list[int], radius: int
 ) -> ConstantsReport:
     """k = max over member vertices h and times t of d(line(1,h)(t), member
-    set), distances taken in the ball graph."""
-    to_H = _multi_source_distances(idx._neighbour_table(), members)
+    set), distances taken in the ball graph of idx.  The members lie in
+    ball(radius), which may be smaller than idx's ball."""
+    to_H = multi_source_distances(idx._neighbour_table(), members)
     paths = idx.prefix_matrix()
     best = -1
     witness = None
@@ -315,7 +298,7 @@ def _quasiconvexity_over_members(
     fmt = G.alphabet.format_word
     return ConstantsReport(
         k=Fraction(best),
-        radius=idx.radius,
+        radius=radius,
         exhaustive=True,
         family="subgroup_members_in_ball",
         distance_mode=_ball_distance_mode(G, idx),
@@ -340,7 +323,7 @@ def quasiconvexity_constant(
     else:
         idx = cayley.ball(G, radius, max_elements=max_elements, threads=threads)
     members = [v for v, g in enumerate(idx.elements) if H.contains(g)]
-    return _quasiconvexity_over_members(G, idx, members)
+    return _quasiconvexity_over_members(G, idx, members, radius)
 
 
 def _conjugators_in_ball(
@@ -408,7 +391,7 @@ def centralizer_quasiconvexity_report(
     else:
         idx = cayley.ball(G, radius, max_elements=max_elements, threads=threads)
     members = list(_conjugators_in_ball(G, idx, a, a, radius))
-    report = _quasiconvexity_over_members(G, idx, members)
+    report = _quasiconvexity_over_members(G, idx, members, radius)
     fmt = G.alphabet.format_word
     conjugators = []
     psi_max = 0

@@ -344,9 +344,14 @@ def _heis_center_exponent(m) -> Optional[int]:
 
 
 class AmbientAsSubgroup(distortion.SubgroupModel):
-    """H = G with the identical marking; d_H is the ambient word length."""
+    """H = G with the identical marking; d_H is the ambient word length,
+    read from G's norm oracle, which is required."""
 
     def __init__(self, ambient: MarkedGroup, cap: int):
+        if ambient.norm_oracle is None:
+            raise ValueError(
+                f"AmbientAsSubgroup needs a norm oracle; group {ambient.name!r} has none"
+            )
         self.ambient = ambient
         self.cap = cap
 
@@ -354,7 +359,8 @@ class AmbientAsSubgroup(distortion.SubgroupModel):
         return True
 
     def length_in_H(self, g) -> Optional[int]:
-        return cayley.word_length_of(g, self.ambient, self.cap)
+        norm = self.ambient.norm_oracle(g)
+        return norm if norm <= self.cap else None
 
 
 def _suite_cases() -> list[dict]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from groupgeo import cayley, combing, distortion
+from groupgeo._kernel import _ops_py
 from groupgeo.errors import CapExceeded, TooFewPoints
 from groupgeo.experiments import _CENTRALIZER_WORDS, AmbientAsSubgroup, get_group, zoo_names
 from groupgeo.groups import evaluate
@@ -238,6 +239,15 @@ class TestCentralizers:
         assert report.witnesses["psi_max_length"] == 0
         assert report.family == "centralizer"
 
+    def test_report_gives_the_requested_radius(self):
+        G = get_group("heis3")
+        sigma = combing.shortlex_bicombing(G, 5)  # a larger ball than asked for
+        a = _elt(G, _CENTRALIZER_WORDS["heis3"])
+        report = combing.centralizer_quasiconvexity_report(G, a, sigma, 3)
+        assert report.radius == 3
+        members = {row["member"] for row in report.witnesses["conjugators"]}
+        assert len(members) == len(cayley.ball(G, 3))  # a is central
+
     def test_free_cyclic_centralizer_report(self):
         G = get_group("free2")
         sigma = combing.shortlex_bicombing(G, 6)
@@ -269,7 +279,7 @@ def _reference_multi_source_distances(indptr, nbrs, n, sources):
 
 def _assert_bfs_matches_reference(idx, sources):
     indptr, nbrs = idx.graph_csr()
-    got = combing._multi_source_distances(idx._neighbour_table(), sources)
+    got = _ops_py.multi_source_distances(idx._neighbour_table(), sources)
     want = _reference_multi_source_distances(indptr, nbrs, len(idx), sources)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)

@@ -61,6 +61,17 @@ class TestOracles:
         assert not H.contains(t)
         assert H.is_exact
 
+    def test_ambient_subgroup_lengths_up_to_the_cap(self):
+        G = get_group("free2")
+        idx = cayley.ball(G, 4)
+        H = AmbientAsSubgroup(G, 3)
+        lengths = [H.length_in_H(g) for g in idx.elements]
+        assert lengths == [int(d) if d <= 3 else None for d in idx.depth]
+
+    def test_ambient_subgroup_needs_a_norm_oracle(self):
+        with pytest.raises(ValueError, match="heis3"):
+            AmbientAsSubgroup(get_group("heis3"), 3)
+
     def test_direct_factor(self):
         G, H = _z_in_z2()
         x = evaluate(G.alphabet.parse_word("x x x"), G)

@@ -6,6 +6,7 @@ compares its sha256 digest with a pinned value.  A change that is meant to
 leave every output as it was, such as a faster product or a new
 enumeration loop, must keep these digests.  A change that alters an output
 on purpose updates the digest and says which output changed and why.
+The combing digests are checked once more on the numpy fallback kernel.
 
 Print the current digests with ``PYTHONPATH=src python tests/test_golden_outputs.py``.
 """
@@ -13,9 +14,14 @@ Print the current digests with ``PYTHONPATH=src python tests/test_golden_outputs
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import groupgeo
 from groupgeo import cayley, distortion, experiments
 
 BALL_RADIUS = 5
@@ -93,6 +99,26 @@ def _render(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_digest(name):
     assert _digest(_render(name)) == GOLDEN[name]
+
+
+def test_combing_digests_on_the_fallback_kernel():
+    """The combing reports run the all-pairs BFS; render them again in a
+    child process that selects the numpy fallback."""
+    paths = [str(Path(groupgeo.__file__).parents[1]), str(Path(__file__).parent)]
+    code = (
+        "import json, sys; sys.path[:0] = json.loads(sys.argv[1]);"
+        "import test_golden_outputs as g; from groupgeo._kernel import HAVE_COMPILED;"
+        "print(json.dumps([HAVE_COMPILED, {n: g._digest(g._render(n))"
+        " for n in g.GOLDEN if n.startswith('combing:')}]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(paths)],
+        env={**os.environ, "GROUPGEO_PURE_PYTHON": "1"},
+        capture_output=True, text=True, check=True,
+    )
+    compiled, digests = json.loads(out.stdout)
+    assert compiled is False
+    assert digests == {n: d for n, d in GOLDEN.items() if n.startswith("combing:")}
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ import pytest
 
 from groupgeo import cayley
 from groupgeo._kernel import HAVE_COMPILED, _ops_py, ops
-from groupgeo.experiments import get_group
+from groupgeo.experiments import get_group, zoo_names
 
 if HAVE_COMPILED:
     from groupgeo._kernel import _ops_c
@@ -20,6 +20,7 @@ else:  # pragma: no cover - exercised only in fallback-only environments
 needs_compiled = pytest.mark.skipif(
     not HAVE_COMPILED, reason="compiled kernel not built"
 )
+KERNELS = (_ops_py, _ops_c) if HAVE_COMPILED else (_ops_py,)
 
 
 def _have_c_toolchain():
@@ -55,6 +56,12 @@ def _csr(adj):
     return indptr, np.asarray(nbrs, dtype=np.int32)
 
 
+def _path_csr(n, directed=False):
+    """The path 0 - 1 - ... - (n-1); only its forward edges when directed."""
+    return _csr([{u for u in (v - 1, v + 1) if 0 <= u < n and (u > v or not directed)}
+                 for v in range(n)])
+
+
 def _random_adjacency(rng, n, extra_edges):
     """Neighbour sets of a random connected undirected graph."""
     adj = [set() for _ in range(n)]
@@ -68,6 +75,17 @@ def _random_adjacency(rng, n, extra_edges):
             adj[u].add(v)
             adj[v].add(u)
     return adj
+
+
+def _directed(rng, adj):
+    """Each undirected edge of ``adj`` kept in one direction at random."""
+    out = [set() for _ in adj]
+    for u, row in enumerate(adj):
+        for v in row:
+            if u < v:
+                a, b = (u, v) if rng.integers(0, 2) else (v, u)
+                out[a].add(b)
+    return out
 
 
 def _random_geodesic_tree(rng, n, extra_edges):
@@ -110,17 +128,28 @@ class TestFreeReduce:
         assert ops.free_reduce is _ops_py.free_reduce
 
 
+def _assert_kernels_agree(indptr, nbrs, n):
+    got = _ops_c.all_pairs_bfs(indptr, nbrs, n)
+    want = _ops_py.all_pairs_bfs(indptr, nbrs, n)
+    assert got.dtype == want.dtype == np.uint8 and got.shape == want.shape == (n, n)
+    assert (got == want).all()
+
+
 class TestAllPairsBfs:
     @needs_compiled
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_reference_on_random_graphs(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 40))
-        indptr, nbrs = _csr(_random_adjacency(rng, n, extra_edges=n))
-        got = _ops_c.all_pairs_bfs(indptr, nbrs, n)
-        want = _ops_py.all_pairs_bfs(indptr, nbrs, n)
-        assert got.dtype == np.uint8 and got.shape == (n, n)
-        assert (got == want).all()
+        adj = _random_adjacency(rng, n, extra_edges=n)
+        _assert_kernels_agree(*_csr(adj), n)
+        _assert_kernels_agree(*_csr(_directed(rng, adj)), n)
+
+    @needs_compiled
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_matches_reference_on_zoo_balls(self, name):
+        idx = cayley.ball(get_group(name), 4)
+        _assert_kernels_agree(*idx.graph_csr(), len(idx))
 
     def test_reference_on_a_path_graph(self):
         indptr = np.array([0, 1, 3, 4], dtype=np.int64)
@@ -138,19 +167,21 @@ class TestAllPairsBfs:
 
     def test_diameter_overflow_raises(self):
         n = 300  # path graph longer than uint8 range
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        nbrs = []
-        for v in range(n):
-            row = [u for u in (v - 1, v + 1) if 0 <= u < n]
-            nbrs.extend(row)
-            indptr[v + 1] = len(nbrs)
+        indptr, nbrs = _path_csr(n)
         with pytest.raises(ValueError):
-            _ops_py.all_pairs_bfs(indptr, np.asarray(nbrs, dtype=np.int32), n)
+            _ops_py.all_pairs_bfs(indptr, nbrs, n)
         if HAVE_COMPILED:
             with pytest.raises(ValueError, match="diameter"):
-                _ops_c.all_pairs_bfs(indptr, np.asarray(nbrs, dtype=np.int32), n)
+                _ops_c.all_pairs_bfs(indptr, nbrs, n)
 
-    @needs_compiled
+    def test_diameter_boundary(self):
+        # a one-way path: 254 is the largest distance a uint8 row holds
+        for kernel in KERNELS:
+            d = kernel.all_pairs_bfs(*_path_csr(255, directed=True), 255)
+            assert d[0, 254] == 254 and d[254, 0] == 255
+            with pytest.raises(ValueError, match="diameter"):
+                kernel.all_pairs_bfs(*_path_csr(256, directed=True), 256)
+
     @pytest.mark.parametrize(
         "indptr,nbrs,n",
         [
@@ -162,10 +193,11 @@ class TestAllPairsBfs:
         ],
     )
     def test_malformed_csr_raises(self, indptr, nbrs, n):
-        with pytest.raises(ValueError, match="malformed"):
-            _ops_c.all_pairs_bfs(
-                np.array(indptr, dtype=np.int64), np.array(nbrs, dtype=np.int32), n
-            )
+        for kernel in KERNELS:
+            with pytest.raises(ValueError, match="malformed"):
+                kernel.all_pairs_bfs(
+                    np.array(indptr, dtype=np.int64), np.array(nbrs, dtype=np.int32), n
+                )
 
 
 class TestMaxBoundedDefect:
