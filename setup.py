@@ -2,8 +2,8 @@
 
 The kernel is one hand-written C file, ``src/groupgeo/_kernel/_bfs.c``: the
 all-pairs BFS over a ball graph.  It uses only the Python C API and the
-buffer protocol, so building it needs a C compiler and the Python headers,
-not numpy's headers or Cython.
+buffer protocol, so building it needs GCC or Clang (for ``__builtin_ctzll``)
+and the Python headers, not numpy's headers or Cython.
 
 The package works without the extension (the pure fallback BFS is selected
 at import time), so any failure here downgrades to a pure build instead of

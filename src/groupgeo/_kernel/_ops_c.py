@@ -1,6 +1,9 @@
 """Compiled kernel: the C all-pairs BFS of ``_bfs.c`` next to the shared
 ``free_reduce``, ``max_bounded_defect`` and CSR check of ``_ops_py``.
 
+The C loop is a bit-parallel BFS that fills 512 columns of the distance
+matrix per sweep, writing into an n x n uint8 array allocated here.
+
 Importing this module raises ImportError when the extension is not built.
 """
 
@@ -16,4 +19,6 @@ def all_pairs_bfs(indptr, nbrs, n):
     """Same contract as ``_ops_py.all_pairs_bfs``.  ``check_csr`` rejects a
     malformed CSR graph before the C loop indexes with it."""
     indptr, nbrs = check_csr(indptr, nbrs, n)
-    return np.frombuffer(_bfs.all_pairs_bfs(indptr, nbrs, n), dtype=np.uint8).reshape(n, n)
+    dist = np.empty((n, n), dtype=np.uint8)
+    _bfs.all_pairs_bfs(indptr, nbrs, n, dist)
+    return dist

@@ -45,19 +45,28 @@ def check_csr(indptr, nbrs, n):
     return indptr, nbrs
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a``, sorted.  Unlike ``np.unique`` it does
+    not import ``numpy.ma``."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def multi_source_distances(table: np.ndarray, sources: Sequence[int]) -> np.ndarray:
     """Graph distance from every vertex to the nearest source (-1 when none
     is reachable), by a level-synchronous BFS over the n x m neighbour
     table; -1 entries (products outside the ball) are skipped."""
     dist = np.full(len(table), -1, dtype=np.int64)
-    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    frontier = _distinct(np.asarray(sources, dtype=np.int64))
     dist[frontier] = 0
     d = 0
     while frontier.size:
         d += 1
         reached = table[frontier].ravel()
         reached = reached[reached >= 0]
-        frontier = np.unique(reached[dist[reached] < 0])
+        frontier = _distinct(reached[dist[reached] < 0])
         dist[frontier] = d
     return dist
 

@@ -334,6 +334,9 @@ class DirectProduct(GroupModel):
 
     def __init__(self, factors: Sequence[GroupModel]):
         self.factors = tuple(factors)
+        self._factor_keys = tuple(f.canonical_key for f in self.factors)
+        # each factor's key after its length: b"%d:%s|%d:%s|..."
+        self._key_format = b"|".join([b"%d:%s"] * len(self.factors))
 
     @property
     def identity(self):
@@ -356,8 +359,11 @@ class DirectProduct(GroupModel):
         return tuple(f.invert(a) for f, a in zip(self.factors, x))
 
     def canonical_key(self, x) -> bytes:
-        parts = [f.canonical_key(a) for f, a in zip(self.factors, x)]
-        return b"|".join(b"%d:%s" % (len(p), p) for p in parts)
+        args = []
+        for key, a in zip(self._factor_keys, x):
+            p = key(a)
+            args += (len(p), p)
+        return self._key_format % tuple(args)
 
 
 @dataclass

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from collections import deque
 from fractions import Fraction
 
@@ -295,7 +297,8 @@ class TestMultiSourceDistances:
         ))
         rng = random.Random(name)
         for sources in (members, [0], [len(idx) - 1],
-                        rng.sample(range(len(idx)), min(7, len(idx))), []):
+                        rng.sample(range(len(idx)), min(7, len(idx))), [],
+                        [len(idx) - 1, 0, len(idx) - 1]):
             _assert_bfs_matches_reference(idx, sources)
 
     def test_matches_reference_on_free2_centralizer_members(self):
@@ -305,3 +308,18 @@ class TestMultiSourceDistances:
         members = list(combing._conjugators_in_ball(G, idx, a, a, 10))
         assert len(members) == 11  # (x y)^k, |k| <= 5
         _assert_bfs_matches_reference(idx, members)
+
+    def test_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on its first call (numpy 2.4), about
+        # 0.8 MB of resident memory in a process that never uses it
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from groupgeo._kernel import _ops_py\n"
+            "table = np.array([[1, -1], [0, 2], [1, -1]], dtype=np.int32)\n"
+            "assert _ops_py.multi_source_distances(table, [2, 2]).tolist() == [2, 1, 0]\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "False"

@@ -43,6 +43,12 @@ class TestTableGroup:
         with pytest.raises(ValueError):
             TableGroup(("e", "a"), ((0, 1),))
 
+    def test_kleinfour_key_bytes(self):
+        G = get_group("kleinfour")
+        keys = [G.model.canonical_key(evaluate(G.alphabet.parse_word(w), G))
+                for w in ("", "x", "y", "x y")]
+        assert keys == [b"t0", b"t1", b"t2", b"t3"]
+
 
 class TestIntegerMatrixGroup:
     def test_rejects_non_unimodular(self):
@@ -105,6 +111,27 @@ class TestDirectProduct:
         a = (P.factors[0].generator(0), ())
         b = ((), P.factors[1].generator(0))
         assert P.canonical_key(a) != P.canonical_key(b)
+
+    @pytest.mark.parametrize(
+        "word,key",
+        [
+            ("", b"1:f|1:f"),
+            ("x", b"2:f\x00|1:f"),
+            ("y^-1", b"1:f|2:f\x01"),
+            ("x x y^-1", b"3:f\x00\x00|2:f\x01"),
+            ("x^-1 y y", b"2:f\x01|3:f\x00\x00"),
+        ],
+    )
+    def test_z2_key_bytes(self, word, key):
+        G = get_group("z2")
+        assert G.model.canonical_key(evaluate(G.alphabet.parse_word(word), G)) == key
+
+    def test_three_factor_key_bytes(self):
+        K, F = TableGroup.klein_four(), FreeGroupModel(1)
+        P = DirectProduct((K, F, K))
+        x = (K.index_of("x"), F.power(F.generator(0), 10), K.index_of("y"))
+        assert P.canonical_key(x) == b"2:t1|11:f" + b"\x00" * 10 + b"|2:t2"
+        assert P.canonical_key(P.identity) == b"2:t0|1:f|2:t0"
 
 
 class TestEvaluate:

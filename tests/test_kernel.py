@@ -13,9 +13,9 @@ from groupgeo._kernel import HAVE_COMPILED, _ops_py, ops
 from groupgeo.experiments import get_group, zoo_names
 
 if HAVE_COMPILED:
-    from groupgeo._kernel import _ops_c
+    from groupgeo._kernel import _bfs, _ops_c
 else:  # pragma: no cover - exercised only in fallback-only environments
-    _ops_c = None
+    _bfs = _ops_c = None
 
 needs_compiled = pytest.mark.skipif(
     not HAVE_COMPILED, reason="compiled kernel not built"
@@ -56,10 +56,11 @@ def _csr(adj):
     return indptr, np.asarray(nbrs, dtype=np.int32)
 
 
-def _path_csr(n, directed=False):
-    """The path 0 - 1 - ... - (n-1); only its forward edges when directed."""
-    return _csr([{u for u in (v - 1, v + 1) if 0 <= u < n and (u > v or not directed)}
-                 for v in range(n)])
+def _path_csr(n, directed=False, first=0):
+    """The path first - ... - (n-1) on vertices 0 .. n-1, the vertices below
+    ``first`` isolated; only its forward edges when directed."""
+    return _csr([{u for u in (v - 1, v + 1) if first <= u < n and (u > v or not directed)}
+                 if v >= first else set() for v in range(n)])
 
 
 def _random_adjacency(rng, n, extra_edges):
@@ -74,6 +75,18 @@ def _random_adjacency(rng, n, extra_edges):
         if u != v:
             adj[u].add(v)
             adj[v].add(u)
+    return adj
+
+
+def _two_components(rng, n, extra_edges):
+    """Neighbour sets of a random undirected graph with two connected
+    components on a random split of the vertices."""
+    order = rng.permutation(n)
+    k = int(rng.integers(1, n))
+    adj = [set() for _ in range(n)]
+    for part, m in ((order[:k], k), (order[k:], n - k)):
+        for v, row in enumerate(_random_adjacency(rng, m, extra_edges * m // n)):
+            adj[part[v]] = {int(part[u]) for u in row}
     return adj
 
 
@@ -133,6 +146,7 @@ def _assert_kernels_agree(indptr, nbrs, n):
     want = _ops_py.all_pairs_bfs(indptr, nbrs, n)
     assert got.dtype == want.dtype == np.uint8 and got.shape == want.shape == (n, n)
     assert (got == want).all()
+    return got
 
 
 class TestAllPairsBfs:
@@ -150,6 +164,15 @@ class TestAllPairsBfs:
     def test_matches_reference_on_zoo_balls(self, name):
         idx = cayley.ball(get_group(name), 4)
         _assert_kernels_agree(*idx.graph_csr(), len(idx))
+
+    @needs_compiled
+    @pytest.mark.parametrize("n", [511, 512, 513, 1025])
+    def test_matches_reference_across_batches(self, n):
+        # the C loop fills 512 columns per sweep
+        rng = np.random.default_rng(n)
+        adj = _two_components(rng, n, extra_edges=n // 2)
+        for graph in (adj, _directed(rng, adj)):
+            assert (_assert_kernels_agree(*_csr(graph), n) == 255).any()
 
     def test_reference_on_a_path_graph(self):
         indptr = np.array([0, 1, 3, 4], dtype=np.int64)
@@ -181,6 +204,43 @@ class TestAllPairsBfs:
             assert d[0, 254] == 254 and d[254, 0] == 255
             with pytest.raises(ValueError, match="diameter"):
                 kernel.all_pairs_bfs(*_path_csr(256, directed=True), 256)
+
+    def test_diameter_boundary_in_the_second_batch(self):
+        # a one-way path ending at vertex 512, the first column of the
+        # compiled loop's second sweep
+        for kernel in KERNELS:
+            d = kernel.all_pairs_bfs(*_path_csr(513, directed=True, first=258), 513)
+            assert d[258, 512] == 254 and d[512, 258] == 255 and d[0, 512] == 255
+            with pytest.raises(ValueError, match="diameter"):
+                kernel.all_pairs_bfs(*_path_csr(513, directed=True, first=257), 513)
+
+    @needs_compiled
+    @pytest.mark.parametrize(
+        "make_out",
+        [
+            lambda n: np.full(n * n + 1, 7, dtype=np.uint8),  # one byte too many
+            lambda n: np.full((n, n - 1), 7, dtype=np.uint8),  # one column short
+        ],
+        ids=["long", "short"],
+    )
+    def test_wrong_size_output_raises_before_writing(self, make_out):
+        indptr, nbrs = _path_csr(4)
+        out = make_out(4)
+        with pytest.raises(ValueError, match="sizes"):
+            _bfs.all_pairs_bfs(indptr, nbrs, 4, out)
+        assert (out == 7).all()
+
+    @needs_compiled
+    def test_read_only_output_raises_before_writing(self):
+        indptr, nbrs = _path_csr(4)
+        out = np.full((4, 4), 7, dtype=np.uint8)
+        view = out.view()
+        view.flags.writeable = False
+        with pytest.raises(TypeError, match="read-write"):
+            _bfs.all_pairs_bfs(indptr, nbrs, 4, view)
+        with pytest.raises(TypeError, match="read-write"):
+            _bfs.all_pairs_bfs(indptr, nbrs, 4, bytes(16))
+        assert (out == 7).all()
 
     @pytest.mark.parametrize(
         "indptr,nbrs,n",
