@@ -16,11 +16,18 @@ vertex, ``index`` is the one dict from canonical key to vertex, and
 last letter, -1 at the identity) and ``depth`` (the smallest unsigned dtype
 holding the radius) are numpy arrays.  Together parent and letter are the
 geodesic tree of the shortlex word acceptor (Epstein et al., *Word
-Processing in Groups*, 1992, ch. 2-3).  Enumeration also records every
-product it computes in a flat neighbour table with m = 2|X| columns, row v
-column c holding the vertex of v * letter(c), or -1 outside the ball.  The
-rows of the last layer are never expanded by enumeration; ``graph_csr``
-closes them on first use, and the CSR graph is a mask over the table.
+Processing in Groups*, 1992, ch. 2-3).  Enumeration also fills a flat
+neighbour table with m = 2|X| columns, row v column c holding the vertex of
+v * letter(c), or -1 outside the ball.  Each edge is multiplied once: letter
+codes c and c ^ 1 are mutually inverse, so computing v * letter(c) = w also
+fills w's slot c ^ 1 with v, the way coset enumeration records the inverse
+entry of every entry it defines (Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, 2005, ch. 5).  A row is reserved when its
+vertex is discovered and expansion skips the slots already filled; a filled
+slot points into the index, so skipping it never skips a first discovery.
+The rows of the last layer are never expanded by enumeration, though their
+slots towards the layer before are already filled; ``graph_csr`` fills the
+rest on first use, and the CSR graph is a mask over the table.
 
 Enumeration runs on one thread.  ``threads`` is accepted, and output is
 identical for every value, but it is not parallel: expanding a frontier is
@@ -43,6 +50,7 @@ from .groups import Element, MarkedGroup
 from .words import Word
 
 DEFAULT_MAX_ELEMENTS = 10_000_000
+_UNKNOWN = -2  # a neighbour-table slot whose product is not computed yet
 
 
 @dataclass
@@ -59,9 +67,11 @@ class BallIndex:
     parent: np.ndarray
     letter: np.ndarray
     depth: np.ndarray
-    # flat neighbour table, m entries per row; last-layer rows are appended
-    # by the first graph_csr call
+    # flat neighbour table, m entries per row, reserved as _UNKNOWN when the
+    # vertex is discovered; rows from _open on may still hold _UNKNOWN slots,
+    # which the first graph_csr call fills
     _nbr: array = field(repr=False)
+    _open: int = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.keys_shortlex)
@@ -87,16 +97,24 @@ class BallIndex:
         return Word(letters)
 
     def _neighbour_table(self) -> np.ndarray:
-        """The n x m neighbour table, closing the last layer on first use."""
+        """The n x m neighbour table, filling the last layer's open slots on
+        first use."""
         m = 2 * len(self.group.alphabet)
         nbr = self._nbr
-        if len(nbr) < len(self) * m:
+        if self._open < len(self):
             canonical_key = self.group.model.canonical_key
             actions = self.group.letter_actions
             get = self.index.get
-            for g in self.elements[len(nbr) // m:]:
-                for act in actions:
-                    nbr.append(get(canonical_key(act(g)), -1))
+            for v in range(self._open, len(self)):
+                g = self.elements[v]
+                row = v * m
+                for code, act in enumerate(actions):
+                    if nbr[row + code] == _UNKNOWN:
+                        w = get(canonical_key(act(g)), -1)
+                        nbr[row + code] = w
+                        if w >= 0:
+                            nbr[w * m + (code ^ 1)] = v
+            self._open = len(self)
         return np.frombuffer(nbr, dtype=np.int32).reshape(len(self), m)
 
     def graph_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +201,9 @@ def ball(
     get = index.get
     parent = array("i", [-1])
     letter = array("b", [-1])
-    nbr = array("i")
+    m = len(actions)
+    blank = array("i", [_UNKNOWN]) * m
+    nbr = blank[:]
     sphere_sizes = [1]
     size = 1
     layer_start = 0
@@ -197,7 +217,10 @@ def ball(
         layer_end = size
         for v in range(layer_start, layer_end):
             g = elements[v]
+            row = v * m
             for code, act in enumerate(actions):
+                if nbr[row + code] != _UNKNOWN:
+                    continue
                 h = act(g)
                 hk = canonical_key(h)
                 j = get(hk)
@@ -211,7 +234,10 @@ def ball(
                     elements.append(h)
                     parent.append(v)
                     letter.append(code)
-                nbr.append(j)
+                    nbr += blank
+                nbr[row + code] = j
+                # codes c and c ^ 1 are mutually inverse: j * letter(c ^ 1) = v
+                nbr[j * m + (code ^ 1)] = v
         sphere_sizes.append(size - layer_end)
         layer_start = layer_end
         if size == layer_end:
@@ -225,7 +251,7 @@ def ball(
     return BallIndex(
         G, radius, sphere_sizes, keys, elements, index,
         np.frombuffer(parent, dtype=np.int32), np.frombuffer(letter, dtype=np.int8),
-        depth, nbr,
+        depth, nbr, layer_start,
     )
 
 

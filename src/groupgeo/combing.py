@@ -259,7 +259,11 @@ def check_bounded(
         idx = cayley.ball(G, radius, max_elements=max_elements, threads=threads)
     n = len(idx)
     if n > _DENSE_DISTANCE_LIMIT:
-        raise MemoryCapExceeded(_DENSE_DISTANCE_LIMIT, radius)
+        raise MemoryCapExceeded(
+            _DENSE_DISTANCE_LIMIT, radius,
+            f"check_bounded: the radius-{radius} ball has {n} vertices, more "
+            f"than the dense distance-matrix cap of {_DENSE_DISTANCE_LIMIT}",
+        )
     indptr, nbrs = idx.graph_csr()
     dist = ops.all_pairs_bfs(indptr, nbrs, n)
     paths = idx.prefix_matrix()

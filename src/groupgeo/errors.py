@@ -1,17 +1,22 @@
 """Exception types shared across the package."""
 
+from typing import Optional
+
 
 class GroupGeoError(Exception):
     """Base class for all package errors."""
 
 
 class MemoryCapExceeded(GroupGeoError):
-    """A ball enumeration hit the configured element cap."""
+    """A stage hit a size cap before spending the memory: by default ball
+    enumeration's element cap; ``message`` names any other stage and cap."""
 
-    def __init__(self, cap: int, radius: int):
+    def __init__(self, cap: int, radius: int, message: Optional[str] = None):
         self.cap = cap
         self.radius = radius
-        super().__init__(f"ball enumeration exceeded {cap} elements at radius {radius}")
+        super().__init__(
+            message or f"ball enumeration exceeded {cap} elements at radius {radius}"
+        )
 
 
 class CapExceeded(GroupGeoError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupgeo import cayley
+from groupgeo import cayley, combing
 from groupgeo.errors import CapExceeded, MemoryCapExceeded
 from groupgeo.experiments import get_group
 from groupgeo.groups import FreeGroupModel, MarkedGroup, evaluate
@@ -49,7 +49,10 @@ class TestBall:
         with pytest.raises(MemoryCapExceeded):
             cayley.ball(get_group("free2"), 4, max_elements=10)
 
-    @pytest.mark.parametrize("group, radius", [("free2", 4), ("heis3", 3)])
+    @pytest.mark.parametrize("group, radius", [
+        ("free2", 4), ("heis3", 3), ("braid3", 4), ("bs12", 5), ("kleinfour", 2),
+        ("sl2z", 5), ("z2", 5),
+    ])
     def test_cap_boundary_is_exact(self, group, radius):
         G = get_group(group)
         n = len(cayley.ball(G, radius))
@@ -239,6 +242,19 @@ def _reference_csr(idx):
     return indptr, np.array([j for row in rows for j in row], dtype=np.int32)
 
 
+def _reference_table(idx):
+    """The n x m neighbour table redone through multiply, -1 outside the ball."""
+    G = idx.group
+    model = G.model
+    m = 2 * len(G.alphabet)
+    table = np.full((len(idx), m), -1, dtype=np.int32)
+    for v, g in enumerate(idx.elements):
+        for code in range(m):
+            h = model.multiply(g, G.letter_image_by_code(code))
+            table[v, code] = idx.index.get(model.canonical_key(h), -1)
+    return table
+
+
 def _reference_prefix_row(idx, key):
     """The vertices of the geodesic word's prefixes, padded with the end."""
     G = idx.group
@@ -295,3 +311,92 @@ class TestGraphViews:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "key,distance,witness_word"
         assert len(lines) == 5
+
+
+def _free2_marked(*words):
+    """The free group on x, y marked by the given words (repeats and the
+    identity allowed), one letter a, b, c, ... per word."""
+    G = get_group("free2")
+    names = tuple("abcdefgh"[:len(words)])
+    marking = tuple(evaluate(G.alphabet.parse_word(w), G) for w in words)
+    return MarkedGroup(model=G.model, alphabet=Alphabet(names), marking=marking)
+
+
+def _sl2z_with_inverse_letter():
+    """sl2z marked by a and a^-1 as two letters: code 1 and code 2 are the
+    same image."""
+    G = get_group("sl2z")
+    a = G.letter_image_by_code(0)
+    return MarkedGroup(
+        model=G.model, alphabet=Alphabet(("a", "A")), marking=(a, G.model.invert(a))
+    )
+
+
+def _count_products(G):
+    """Replace G's letter actions by counting wrappers; the list holds the
+    number of calls so far."""
+    calls = [0]
+
+    def counted(act):
+        def call(g):
+            calls[0] += 1
+            return act(g)
+        return call
+
+    G.letter_actions = tuple(counted(act) for act in G.letter_actions)
+    return calls
+
+
+class TestOneProductPerEdge:
+    def test_free2_counts(self):
+        # a tree: a vertex's row holds its parent edge and m - 1 new edges,
+        # so only the parent slot is found as a reverse edge
+        G = get_group("free2")
+        calls = _count_products(G)
+        idx = cayley.ball(G, 6)
+        m = 4
+        inner = len(idx) - idx.sphere_sizes[-1]  # |B(5)|
+        assert calls[0] == m + (inner - 1) * (m - 1) == 1456
+        idx.graph_csr()
+        assert calls[0] - 1456 == (m - 1) * idx.sphere_sizes[-1] == 2916
+
+    @pytest.mark.parametrize("group", ZOO)
+    def test_one_call_per_reverse_slot_pair(self, group):
+        # slot (v, c) = w >= 0 and slot (w, c ^ 1) = v are one product; a
+        # slot leaving the ball has no partner
+        G = get_group(group)
+        calls = _count_products(G)
+        idx = cayley.ball(G, 5)
+        table = idx._neighbour_table()
+        inside = int((table >= 0).sum())
+        assert inside % 2 == 0
+        assert calls[0] == inside // 2 + int((table < 0).sum())
+
+
+DEGENERATE_MARKINGS = {
+    "repeated_letter": (lambda: _free2_marked("x", "y", "x"), 4),
+    "identity_letter": (lambda: _free2_marked("x", "", "y"), 4),
+    "inverse_letter": (_sl2z_with_inverse_letter, 5),
+    # self-inverse letters, and a last layer that is not exhausted
+    "kleinfour_open": (lambda: get_group("kleinfour"), 1),
+}
+
+
+class TestClosedTable:
+    @pytest.mark.parametrize("case", sorted(DEGENERATE_MARKINGS))
+    def test_degenerate_markings(self, case):
+        make, radius = DEGENERATE_MARKINGS[case]
+        idx = cayley.ball(make(), radius)
+        assert idx._neighbour_table().tolist() == _reference_table(idx).tolist()
+
+    def test_stop_key_ball_reused_by_bicombing(self):
+        idx = _graph_case("sl2z", 6, "a b a")
+        G = idx.group
+        assert idx.radius == 3
+        sigma = combing.shortlex_bicombing(G, idx.radius, index=idx)
+        assert sigma.index is idx
+        report = combing.check_bounded(sigma, G, idx.radius)
+        assert idx._neighbour_table().tolist() == _reference_table(idx).tolist()
+        fresh = combing.shortlex_bicombing(G, idx.radius)
+        again = combing.check_bounded(fresh, G, idx.radius)
+        assert (report.k2, report.witnesses) == (again.k2, again.witnesses)

@@ -9,7 +9,7 @@ import pytest
 
 from groupgeo import cayley, combing, distortion
 from groupgeo._kernel import _ops_py
-from groupgeo.errors import CapExceeded, TooFewPoints
+from groupgeo.errors import CapExceeded, MemoryCapExceeded, TooFewPoints
 from groupgeo.experiments import _CENTRALIZER_WORDS, AmbientAsSubgroup, get_group, zoo_names
 from groupgeo.groups import evaluate
 
@@ -163,6 +163,19 @@ class TestBoundedness:
         report = combing.check_bounded(sigma, G, 3)
         assert report.distance_mode == "word_metric"
         assert report.k2 >= 0
+
+    def test_dense_cap_names_stage_and_size(self, monkeypatch):
+        # the ball itself is enumerated; the n^2 distance matrix is refused
+        monkeypatch.setattr(combing, "_DENSE_DISTANCE_LIMIT", 16)
+        G = get_group("free2")
+        sigma = combing.shortlex_bicombing(G, 2)
+        with pytest.raises(MemoryCapExceeded) as exc:
+            combing.check_bounded(sigma, G, 2)
+        assert (exc.value.cap, exc.value.radius) == (16, 2)
+        assert str(exc.value) == (
+            "check_bounded: the radius-2 ball has 17 vertices, more than the "
+            "dense distance-matrix cap of 16"
+        )
 
     def test_witness_pair_is_reported(self):
         G = get_group("z2")

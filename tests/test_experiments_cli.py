@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from groupgeo import cayley, cli, experiments
+from groupgeo import cayley, cli, combing, experiments
 from groupgeo.groups import verify_presentation
 
 
@@ -231,6 +231,13 @@ class TestCli:
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["observed"] == "geodesic_equivariant"
+
+    def test_combing_check_dense_cap_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(combing, "_DENSE_DISTANCE_LIMIT", 16)
+        assert cli.main(["combing-check", "--group", "free2", "--radius", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: check_bounded: the radius-2 ball has 17 vertices")
+        assert "dense distance-matrix cap of 16" in err
 
     def test_centralizer(self, capsys):
         assert cli.main(
