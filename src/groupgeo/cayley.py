@@ -1,38 +1,53 @@
-"""Breadth-first enumeration of Cayley balls with canonical-key deduplication.
+"""Breadth-first enumeration of Cayley balls, one whole layer at a time.
 
 The ball is built layer by layer.  The frontier is kept in shortlex order of
 its geodesic words and expanded letter by letter, so the first discovery of
 each new element is its (parent shortlex rank, letter)-least one: each
 vertex's parent chain spells the shortlex-least geodesic word for that
 element, and the ball, parent assignments included, is deterministic.
-Enumeration multiplies through ``MarkedGroup.letter_actions``, the model's
-right action of each letter (see ``groups``), never a general product.
 
-Layout.  A ball of n elements is stored once, in shortlex vertex order: each
-element gets its vertex number when it is first discovered, which is already
-its shortlex rank.  ``keys_shortlex`` and ``elements`` are lists indexed by
-vertex, ``index`` is the one dict from canonical key to vertex, and
-``parent`` (int32, -1 at the identity), ``letter`` (int8 letter code of the
-last letter, -1 at the identity) and ``depth`` (the smallest unsigned dtype
-holding the radius) are numpy arrays.  Together parent and letter are the
-geodesic tree of the shortlex word acceptor (Epstein et al., *Word
-Processing in Groups*, 1992, ch. 2-3).  Enumeration also fills a flat
-neighbour table with m = 2|X| columns, row v column c holding the vertex of
-v * letter(c), or -1 outside the ball.  Each edge is multiplied once: letter
-codes c and c ^ 1 are mutually inverse, so computing v * letter(c) = w also
-fills w's slot c ^ 1 with v, the way coset enumeration records the inverse
-entry of every entry it defines (Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory*, 2005, ch. 5).  A row is reserved when its
-vertex is discovered and expansion skips the slots already filled; a filled
-slot points into the index, so skipping it never skips a first discovery.
+Layout.  ``ball`` is one loop over layers; each layer is expanded by the
+marked group's batch action on all of the frontier's open neighbour-table
+slots at once.  Vertices are numbered in discovery order, which is already
+shortlex order.  ``parent`` (int32, -1 at the identity), ``letter`` (int8
+letter code of the last letter, -1 at the identity) and ``depth`` (the
+smallest unsigned dtype holding the radius) are numpy arrays; together
+parent and letter are the geodesic tree of the shortlex word acceptor
+(Epstein et al., *Word Processing in Groups*, 1992, ch. 2-3).  A flat
+neighbour table has m = 2|X| columns, row v column c holding the vertex of
+v * letter(c), or -1 outside the ball.  Letter codes c and c ^ 1 are
+mutually inverse, so finding v * letter(c) = w also fills w's slot c ^ 1
+with v, the way coset enumeration records the inverse entry of every entry
+it defines (Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory*, 2005, ch. 5).  The state behind a ball is one of two kinds:
+
+* Packed (``_PackedLayers``), for models with a packed batch action
+  (``IntegerMatrixGroup``, ``DyadicAffineGroup``; see ``groups``): the
+  elements are the rows of one int64 array.  A layer's products are
+  deduplicated by one ``np.unique`` over int64 row keys of the frontier and
+  the candidates, new vertices kept in first-occurrence order.  This is
+  frontier search (Korf, Zhang, Thayer and Hohwald, J. ACM 52(5), 2005): the
+  marking is symmetric, so the open slots of layer r - 1 lead only into
+  layers r - 1 and r, every edge towards r - 2 having been filled from the
+  other side.  An edge between two frontier rows is open at both ends and
+  computed from both; an edge into layer r is computed once.  ``elements``,
+  ``keys_shortlex`` and ``index`` are decoded from the rows on first use.
+  Where a layer cannot prove that its products fit in int64, it and the
+  rest of the enumeration run element by element on Python integers.
+* Element by element (``_ElementLayers``), the default batch action: a list
+  of elements, their canonical keys and a dict from key to vertex, each
+  open slot multiplied through ``MarkedGroup.letter_actions`` and its
+  reverse slot filled at once, so that an edge found from one end is never
+  multiplied from the other.
+
 The rows of the last layer are never expanded by enumeration, though their
 slots towards the layer before are already filled; ``graph_csr`` fills the
-rest on first use, and the CSR graph is a mask over the table.
+rest on first use, through the same batch action, and the CSR graph is a
+mask over the table.
 
 Enumeration runs on one thread.  ``threads`` is accepted, and output is
-identical for every value, but it is not parallel: expanding a frontier is
-Python work bound by the GIL.  A process-based split comes back only with a
-benchmark gain of at least 1.5x.
+identical for every value, but it is not parallel.  A process-based split
+comes back only with a benchmark gain of at least 1.5x.
 """
 
 from __future__ import annotations
@@ -40,7 +55,6 @@ from __future__ import annotations
 import csv
 from array import array
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from typing import IO, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -53,28 +67,35 @@ DEFAULT_MAX_ELEMENTS = 10_000_000
 _UNKNOWN = -2  # a neighbour-table slot whose product is not computed yet
 
 
-@dataclass
 class BallIndex:
     """A complete radius-n ball with exact distances and geodesic witnesses,
     all fields in shortlex vertex order (see the module docstring)."""
 
-    group: MarkedGroup
-    radius: int
-    sphere_sizes: list[int]
-    keys_shortlex: list[bytes]
-    elements: list[Element]
-    index: dict[bytes, int]
-    parent: np.ndarray
-    letter: np.ndarray
-    depth: np.ndarray
-    # flat neighbour table, m entries per row, reserved as _UNKNOWN when the
-    # vertex is discovered; rows from _open on may still hold _UNKNOWN slots,
-    # which the first graph_csr call fills
-    _nbr: array = field(repr=False)
-    _open: int = field(repr=False)
+    def __init__(self, group: MarkedGroup, radius: int, sphere_sizes: list[int], layers):
+        self.group = group
+        self.radius = radius
+        self.sphere_sizes = sphere_sizes
+        self._layers = layers
+        self.parent, self.letter = layers.tree()
+        self.depth = np.repeat(
+            np.arange(radius + 1, dtype=np.min_scalar_type(radius)), sphere_sizes
+        )
 
     def __len__(self) -> int:
-        return len(self.keys_shortlex)
+        return len(self.parent)
+
+    @property
+    def elements(self) -> list[Element]:
+        return self._layers.elements()
+
+    @property
+    def keys_shortlex(self) -> list[bytes]:
+        return self._layers.keys()
+
+    @property
+    def index(self) -> dict[bytes, int]:
+        """Canonical key -> vertex."""
+        return self._layers.index()
 
     @property
     def entries(self) -> "_EntryView":
@@ -82,12 +103,11 @@ class BallIndex:
         checks; library code reads the fields directly."""
         return _EntryView(self)
 
-    def geodesic_word(self, key: bytes) -> Word:
-        """The shortlex-least geodesic word of the element, from parent pointers."""
+    def vertex_word(self, v: int) -> Word:
+        """The shortlex-least geodesic word of vertex v, from parent pointers."""
         # memoryviews index to Python ints, faster than numpy scalars
         parent, letter = self.parent.data, self.letter.data
         codes = []
-        v = self.index[key]
         while v:
             codes.append(letter[v])
             v = parent[v]
@@ -96,26 +116,16 @@ class BallIndex:
         )
         return Word(letters)
 
+    def geodesic_word(self, key: bytes) -> Word:
+        """The shortlex-least geodesic word of the element with this key."""
+        return self.vertex_word(self.index[key])
+
     def _neighbour_table(self) -> np.ndarray:
         """The n x m neighbour table, filling the last layer's open slots on
         first use."""
-        m = 2 * len(self.group.alphabet)
-        nbr = self._nbr
-        if self._open < len(self):
-            canonical_key = self.group.model.canonical_key
-            actions = self.group.letter_actions
-            get = self.index.get
-            for v in range(self._open, len(self)):
-                g = self.elements[v]
-                row = v * m
-                for code, act in enumerate(actions):
-                    if nbr[row + code] == _UNKNOWN:
-                        w = get(canonical_key(act(g)), -1)
-                        nbr[row + code] = w
-                        if w >= 0:
-                            nbr[w * m + (code ^ 1)] = v
-            self._open = len(self)
-        return np.frombuffer(nbr, dtype=np.int32).reshape(len(self), m)
+        if self._layers.lo < len(self):
+            self._layers = self._layers.close()
+        return self._layers.table()
 
     def graph_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Undirected Cayley adjacency restricted to the ball, CSR over the
@@ -148,8 +158,8 @@ class BallIndex:
         writer = csv.writer(fileobj, lineterminator="\n")
         writer.writerow(["key", "distance", "witness_word"])
         fmt = self.group.alphabet.format_word
-        for key, d in zip(self.keys_shortlex, self.depth.tolist()):
-            writer.writerow([key.hex(), d, fmt(self.geodesic_word(key))])
+        for v, (key, d) in enumerate(zip(self.keys_shortlex, self.depth.tolist())):
+            writer.writerow([key.hex(), d, fmt(self.vertex_word(v))])
 
 
 class _Entry(NamedTuple):
@@ -175,47 +185,69 @@ class _EntryView(Mapping):
         return len(self._idx)
 
 
-def ball(
-    G: MarkedGroup,
-    n: int,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-    threads: int = 1,
-    _stop_key: Optional[bytes] = None,
-) -> BallIndex:
-    """Enumerate the complete radius-n ball of (G, X).
+class _ElementLayers:
+    """The default batch action: elements, their canonical keys and a dict
+    from key to vertex, expanded one element and one letter at a time.
+    ``lo`` is the first row that may still hold open slots."""
 
-    Raises MemoryCapExceeded, naming the radius being enumerated, as soon as
-    a new element would make more than ``max_elements``; enumeration failure
-    is never a silent truncation.  With ``_stop_key``, enumeration stops
-    after the layer that holds that key.  ``threads`` is accepted but not
-    parallel (see the module docstring).
-    """
-    if n < 0:
-        raise ValueError("radius must be >= 0")
-    model = G.model
-    canonical_key, actions = model.canonical_key, G.letter_actions
-    ident = model.identity
-    keys = [canonical_key(ident)]
-    elements = [ident]
-    index = {keys[0]: 0}
-    get = index.get
-    parent = array("i", [-1])
-    letter = array("b", [-1])
-    m = len(actions)
-    blank = array("i", [_UNKNOWN]) * m
-    nbr = blank[:]
-    sphere_sizes = [1]
-    size = 1
-    layer_start = 0
-    for r in range(1, n + 1):
-        if _stop_key is not None and _stop_key in index:
-            break
-        # vertices are numbered in discovery order: the frontier is in
-        # shortlex order, so the first discovery of an element is its least
-        # (parent shortlex rank, letter) one, and the new layer comes out in
-        # shortlex order
-        layer_end = size
-        for v in range(layer_start, layer_end):
+    def __init__(self, G, elements, keys, index, parent, letter, nbr, lo):
+        self.G = G
+        self._elements, self._keys, self._index = elements, keys, index
+        self.parent, self.letter, self.nbr = parent, letter, nbr
+        self.lo = lo
+
+    @classmethod
+    def start(cls, G: MarkedGroup) -> "_ElementLayers":
+        ident = G.model.identity
+        key = G.model.canonical_key(ident)
+        m = len(G.letter_actions)
+        return cls(
+            G, [ident], [key], {key: 0}, array("i", [-1]), array("b", [-1]),
+            array("i", [_UNKNOWN]) * m, 0,
+        )
+
+    @classmethod
+    def from_packed(cls, packed: "_PackedLayers") -> "_ElementLayers":
+        """The same ball, re-held on Python integers."""
+        packed.seal()
+        keys = packed.keys()
+        return cls(
+            packed.G, packed.elements(), keys, packed.index(),
+            array("i", packed.parents[0].tobytes()), array("b", packed.letters[0].tobytes()),
+            array("i", packed.tables[0].tobytes()), packed.lo,
+        )
+
+    def elements(self) -> list:
+        return self._elements
+
+    def keys(self) -> list[bytes]:
+        return self._keys
+
+    def index(self) -> dict[bytes, int]:
+        return self._index
+
+    def holds(self, key: bytes) -> bool:
+        return key in self._index
+
+    def expand(self, r: int, max_elements: int) -> int:
+        """Append layer r; the number of new vertices."""
+        return self._expand(True, r, max_elements)
+
+    def close(self) -> "_ElementLayers":
+        """Fill the last layer's open slots, -1 outside the ball."""
+        self._expand(False)
+        return self
+
+    def _expand(self, grow: bool, r: int = 0, max_elements: int = 0) -> int:
+        canonical_key, actions = self.G.model.canonical_key, self.G.letter_actions
+        elements, keys, index, parent, letter, nbr = (
+            self._elements, self._keys, self._index, self.parent, self.letter, self.nbr
+        )
+        get = index.get
+        m = len(actions)
+        blank = array("i", [_UNKNOWN]) * m
+        start = size = len(elements)
+        for v in range(self.lo, start):
             g = elements[v]
             row = v * m
             for code, act in enumerate(actions):
@@ -225,6 +257,9 @@ def ball(
                 hk = canonical_key(h)
                 j = get(hk)
                 if j is None:
+                    if not grow:
+                        nbr[row + code] = -1
+                        continue
                     if size >= max_elements:
                         raise MemoryCapExceeded(max_elements, r)
                     j = size
@@ -238,21 +273,199 @@ def ball(
                 nbr[row + code] = j
                 # codes c and c ^ 1 are mutually inverse: j * letter(c ^ 1) = v
                 nbr[j * m + (code ^ 1)] = v
-        sphere_sizes.append(size - layer_end)
-        layer_start = layer_end
-        if size == layer_end:
+        self.lo = start
+        return size - start
+
+    def tree(self) -> tuple[np.ndarray, np.ndarray]:
+        return (
+            np.frombuffer(self.parent, dtype=np.int32),
+            np.frombuffer(self.letter, dtype=np.int8),
+        )
+
+    def table(self) -> np.ndarray:
+        m = len(self.G.letter_actions)
+        return np.frombuffer(self.nbr, dtype=np.int32).reshape(len(self._elements), m)
+
+
+def _row_keys(pool: np.ndarray) -> np.ndarray:
+    """One key per row, equal exactly when the rows are equal.  Only the
+    columns that vary in ``pool`` count: each is offset by its minimum and
+    given the bits of its range, and they are packed into one int64 when
+    the widths add up to at most 63 bits, else kept as raw bytes."""
+    lows, highs = pool.min(axis=0).tolist(), pool.max(axis=0).tolist()
+    cols = [j for j, (a, b) in enumerate(zip(lows, highs)) if a != b]
+    widths = [(highs[j] - lows[j]).bit_length() for j in cols]
+    if sum(widths) > 63:
+        varying = np.ascontiguousarray(pool[:, cols])
+        return varying.view(np.dtype((np.void, varying.itemsize * len(cols)))).ravel()
+    key = np.zeros(len(pool), dtype=np.int64)
+    for j, bits in zip(cols, widths):
+        key <<= bits
+        key |= pool[:, j] - lows[j]
+    return key
+
+
+class _PackedLayers:
+    """Packed state: per-layer blocks of int64 element rows, neighbour-table
+    rows, parents and letters, joined into one array each by ``seal``.
+    ``lo`` is the first row that may still hold open slots."""
+
+    def __init__(self, G: MarkedGroup, batch):
+        self.G = G
+        self.batch = batch
+        m = len(G.letter_actions)
+        self.rows = [batch.pack(G.model.identity)]
+        self.tables = [np.full((1, m), _UNKNOWN, dtype=np.int32)]
+        self.parents = [np.array([-1], dtype=np.int32)]
+        self.letters = [np.array([-1], dtype=np.int8)]
+        self.lo, self.size = 0, 1
+        self._elements = self._keys = self._index = None
+
+    @classmethod
+    def start(cls, G: MarkedGroup) -> Optional["_PackedLayers"]:
+        batch = G.batch_action()
+        return None if batch is None else cls(G, batch)
+
+    def elements(self) -> list:
+        if self._elements is None:
+            self._elements = self.batch.unpack(self.seal().rows[0])
+        return self._elements
+
+    def keys(self) -> list[bytes]:
+        if self._keys is None:
+            self._keys = list(map(self.G.model.canonical_key, self.elements()))
+        return self._keys
+
+    def index(self) -> dict[bytes, int]:
+        if self._index is None:
+            self._index = dict(zip(self.keys(), range(self.size)))
+        return self._index
+
+    def holds(self, key: bytes) -> bool:
+        # the layers before the last were looked at on earlier calls
+        canonical_key = self.G.model.canonical_key
+        return any(canonical_key(g) == key for g in self.batch.unpack(self.rows[-1]))
+
+    def _link(self, rows_f: np.ndarray, table_f: np.ndarray):
+        """The products on the open slots of frontier rows ``rows_f`` (whose
+        table rows are ``table_f``) and their dedup against the frontier:
+        (src, code, candidates, first, inverse) from one ``np.unique`` over
+        frontier rows then candidates, or None when the batch action cannot
+        prove that a product fits in int64."""
+        m = table_f.shape[1]
+        slots = np.flatnonzero(table_f.ravel() == _UNKNOWN)
+        src, code = np.divmod(slots, m)
+        cand = np.empty((len(slots), rows_f.shape[1]), dtype=np.int64)
+        for c in range(m):
+            sel = np.flatnonzero(code == c)
+            if len(sel):
+                out = self.batch.act(rows_f[src[sel]], c)
+                if out is None:
+                    return None
+                cand[sel] = out
+        keys = _row_keys(np.concatenate((rows_f, cand)))
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        return src, code, cand, first, inverse
+
+    def expand(self, r: int, max_elements: int) -> Optional[int]:
+        """Append layer r; the number of new vertices, or None, with nothing
+        changed, when the batch action cannot prove its products fit."""
+        rows_f, table_f = self.rows[-1], self.tables[-1]
+        linked = self._link(rows_f, table_f)
+        if linked is None:
+            return None
+        src, code, cand, first, inverse = linked
+        k = len(rows_f)
+        new = first >= k
+        count = int(np.count_nonzero(new))
+        if self.size + count > max_elements:
+            raise MemoryCapExceeded(max_elements, r)
+        # a new element is numbered by its first candidate, which is its
+        # least (parent rank, letter) discovery
+        is_found = np.zeros(len(cand), dtype=bool)
+        is_found[first[new] - k] = True
+        found = np.flatnonzero(is_found)
+        target = first + self.lo
+        target[new] = self.size - 1 + np.cumsum(is_found)[first[new] - k]
+        target = target[inverse[k:]]
+        table_f[src, code] = target
+        # only an edge into the new layer needs its reverse slot filled: a
+        # slot between two frontier rows is open at both ends, so both are
+        # computed here
+        into_new = target >= self.size
+        table_new = np.full((count, table_f.shape[1]), _UNKNOWN, dtype=np.int32)
+        table_new[target[into_new] - self.size, code[into_new] ^ 1] = self.lo + src[into_new]
+        self.rows.append(cand[found])
+        self.tables.append(table_new)
+        self.parents.append((self.lo + src[found]).astype(np.int32))
+        self.letters.append(code[found].astype(np.int8))
+        self.lo, self.size = self.size, self.size + count
+        return count
+
+    def close(self):
+        """Fill the last layer's open slots, -1 outside the ball."""
+        self.seal()
+        rows_f, table_f = self.rows[0][self.lo:], self.tables[0][self.lo:]
+        linked = self._link(rows_f, table_f)
+        if linked is None:
+            return _ElementLayers.from_packed(self).close()
+        src, code, _, first, inverse = linked
+        k = len(rows_f)
+        # every product is a frontier row or outside the ball, and a slot
+        # between two frontier rows is open at both ends
+        table_f[src, code] = np.where(first < k, first + self.lo, -1)[inverse[k:]]
+        self.lo = self.size
+        return self
+
+    def seal(self) -> "_PackedLayers":
+        """Join the per-layer blocks; enumeration appends no more layers."""
+        for blocks in (self.rows, self.tables, self.parents, self.letters):
+            if len(blocks) > 1:
+                blocks[:] = [np.concatenate(blocks)]
+        return self
+
+    def tree(self) -> tuple[np.ndarray, np.ndarray]:
+        self.seal()
+        return self.parents[0], self.letters[0]
+
+    def table(self) -> np.ndarray:
+        return self.seal().tables[0]
+
+
+def ball(
+    G: MarkedGroup,
+    n: int,
+    max_elements: int = DEFAULT_MAX_ELEMENTS,
+    threads: int = 1,
+    _stop_key: Optional[bytes] = None,
+) -> BallIndex:
+    """Enumerate the complete radius-n ball of (G, X).
+
+    Raises MemoryCapExceeded, naming the radius being enumerated, as soon
+    as a layer would make more than ``max_elements``: a packed layer before
+    it is stored, an element-by-element one at its first element past the
+    cap.  Enumeration failure is never a silent truncation.  With ``_stop_key``, enumeration
+    stops after the layer that holds that key.  ``threads`` is accepted but
+    not parallel (see the module docstring).
+    """
+    if n < 0:
+        raise ValueError("radius must be >= 0")
+    layers = _PackedLayers.start(G) or _ElementLayers.start(G)
+    sphere_sizes = [1]
+    for r in range(1, n + 1):
+        if _stop_key is not None and layers.holds(_stop_key):
+            break
+        count = layers.expand(r, max_elements)
+        if count is None:
+            # no int64 proof for this layer: it and the rest run on Python ints
+            layers = _ElementLayers.from_packed(layers)
+            count = layers.expand(r, max_elements)
+        sphere_sizes.append(count)
+        if not count:
             # group exhausted; remaining spheres are empty
             sphere_sizes.extend([0] * (n - r))
             break
-    radius = len(sphere_sizes) - 1
-    depth = np.repeat(
-        np.arange(radius + 1, dtype=np.min_scalar_type(radius)), sphere_sizes
-    )
-    return BallIndex(
-        G, radius, sphere_sizes, keys, elements, index,
-        np.frombuffer(parent, dtype=np.int32), np.frombuffer(letter, dtype=np.int8),
-        depth, nbr, layer_start,
-    )
+    return BallIndex(G, len(sphere_sizes) - 1, sphere_sizes, layers)
 
 
 def word_length_of(

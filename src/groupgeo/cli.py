@@ -101,9 +101,9 @@ def _cmd_ball(args) -> int:
                 {
                     "key": k.hex(),
                     "distance": d,
-                    "witness_word": G.alphabet.format_word(idx.geodesic_word(k)),
+                    "witness_word": G.alphabet.format_word(idx.vertex_word(v)),
                 }
-                for k, d in zip(idx.keys_shortlex, idx.depth.tolist())
+                for v, (k, d) in enumerate(zip(idx.keys_shortlex, idx.depth.tolist()))
             ],
         }
         print(json.dumps(payload, indent=2))

@@ -103,16 +103,16 @@ class ShortlexBicombing(Bicombing):
             self.index = cayley.ball(G, cap, max_elements=max_elements, threads=threads)
         super().__init__(group=G, rule=self._rule, distance_fn=self._distance)
 
-    def _lookup(self, u: Element) -> bytes:
-        key = self.group.model.canonical_key(u)
-        if key not in self.index.index:
+    def _lookup(self, u: Element) -> int:
+        v = self.index.index.get(self.group.model.canonical_key(u))
+        if v is None:
             raise CapExceeded(f"element beyond the combing cap {self.cap}")
-        return key
+        return v
 
     def _rule(self, x: Element, y: Element) -> DiscretePath:
         model = self.group.model
         u = model.multiply(model.invert(x), y)
-        word = self.index.geodesic_word(self._lookup(u))
+        word = self.index.vertex_word(self._lookup(u))
         letter_key, actions = self.group.alphabet.letter_key, self.group.letter_actions
         vertices = [x]
         acc = x
@@ -124,7 +124,7 @@ class ShortlexBicombing(Bicombing):
     def _distance(self, g: Element, h: Element) -> int:
         model = self.group.model
         u = model.multiply(model.invert(g), h)
-        return int(self.index.depth[self.index.index[self._lookup(u)]])
+        return int(self.index.depth[self._lookup(u)])
 
 
 def shortlex_bicombing(
@@ -238,6 +238,17 @@ def _ball_distance_mode(G: MarkedGroup, idx: cayley.BallIndex) -> str:
     return "word_metric" if idx.sphere_sizes[-1] == 0 else "ball_graph"
 
 
+def check_dense_cap(n: int, radius: int) -> None:
+    """Raise MemoryCapExceeded, naming check_bounded, when an n-vertex
+    radius ball is past the dense distance-matrix cap."""
+    if n > _DENSE_DISTANCE_LIMIT:
+        raise MemoryCapExceeded(
+            _DENSE_DISTANCE_LIMIT, radius,
+            f"check_bounded: the radius-{radius} ball has {n} vertices, more "
+            f"than the dense distance-matrix cap of {_DENSE_DISTANCE_LIMIT}",
+        )
+
+
 def check_bounded(
     sigma: Bicombing,
     G: MarkedGroup,
@@ -258,17 +269,11 @@ def check_bounded(
     else:
         idx = cayley.ball(G, radius, max_elements=max_elements, threads=threads)
     n = len(idx)
-    if n > _DENSE_DISTANCE_LIMIT:
-        raise MemoryCapExceeded(
-            _DENSE_DISTANCE_LIMIT, radius,
-            f"check_bounded: the radius-{radius} ball has {n} vertices, more "
-            f"than the dense distance-matrix cap of {_DENSE_DISTANCE_LIMIT}",
-        )
+    check_dense_cap(n, radius)
     indptr, nbrs = idx.graph_csr()
     dist = ops.all_pairs_bfs(indptr, nbrs, n)
     paths = idx.prefix_matrix()
     defect, a, b = ops.max_bounded_defect(paths, dist)
-    keys = idx.keys_shortlex
     fmt = G.alphabet.format_word
     return ConstantsReport(
         k1=Fraction(1),
@@ -278,7 +283,7 @@ def check_bounded(
         family="common_basepoint",
         distance_mode=_ball_distance_mode(G, idx),
         witnesses={
-            "k2_pair": (fmt(idx.geodesic_word(keys[a])), fmt(idx.geodesic_word(keys[b])))
+            "k2_pair": (fmt(idx.vertex_word(a)), fmt(idx.vertex_word(b)))
         },
     )
 
@@ -307,7 +312,7 @@ def _quasiconvexity_over_members(
         family="subgroup_members_in_ball",
         distance_mode=_ball_distance_mode(G, idx),
         witnesses={
-            "k_member": fmt(idx.geodesic_word(idx.keys_shortlex[witness[0]])),
+            "k_member": fmt(idx.vertex_word(witness[0])),
             "k_time": witness[1],
         },
     )
@@ -371,7 +376,7 @@ def conjugator_search(
         G, cap, max_elements=max_elements
     )
     v = next(_conjugators_in_ball(G, idx, a, gamma, cap), None)
-    return None if v is None else idx.geodesic_word(idx.keys_shortlex[v])
+    return None if v is None else idx.vertex_word(v)
 
 
 def centralizer_quasiconvexity_report(
@@ -400,7 +405,7 @@ def centralizer_quasiconvexity_report(
     conjugators = []
     psi_max = 0
     for h in members:
-        member = fmt(idx.geodesic_word(idx.keys_shortlex[h]))
+        member = fmt(idx.vertex_word(h))
         line = sigma.line(model.identity, idx.elements[h])
         for t, v in enumerate(line.vertices):
             gamma = model.multiply(model.multiply(model.invert(v), a), v)

@@ -93,9 +93,9 @@ class HomImage(SubgroupModel):
         idx = cayley.ball(hom.source, source_radius, max_elements=max_elements)
         self._lengths: dict[bytes, int] = {}
         tmodel = hom.target.model
-        for key, d in zip(idx.keys_shortlex, idx.depth.tolist()):
+        for v, d in enumerate(idx.depth.tolist()):
             tkey = tmodel.canonical_key(
-                hom.map_element_of_word(idx.geodesic_word(key))
+                hom.map_element_of_word(idx.vertex_word(v))
             )
             if tkey not in self._lengths or d < self._lengths[tkey]:
                 self._lengths[tkey] = d
@@ -192,12 +192,13 @@ def distortion_profile(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     idx = cayley.ball(G, n_max, max_elements=max_elements, threads=threads)
-    # best (dh, key) per exact distance; keys iterate in shortlex order so
-    # ties resolve to the shortlex/canonical-least witness deterministically
-    best: dict[int, tuple[int, bytes]] = {}
+    # best (dh, key, vertex) per exact distance; ties resolve to the
+    # canonical-least key, so the witness is deterministic.  Keys are taken
+    # for subgroup members only.
+    best: dict[int, tuple[int, bytes, int]] = {}
     capped_at: Optional[int] = None
-    id_key = G.identity_key
-    for key, g, d in zip(idx.keys_shortlex, idx.elements, idx.depth.tolist()):
+    canonical_key = G.model.canonical_key
+    for v, (g, d) in enumerate(zip(idx.elements, idx.depth.tolist())):
         if not H.contains(g):
             continue
         dh = H.length_in_H(g)
@@ -206,14 +207,16 @@ def distortion_profile(
                 capped_at = d
             continue
         cur = best.get(d)
-        if cur is None or dh > cur[0] or (dh == cur[0] and key < cur[1]):
-            best[d] = (dh, key)
+        if cur is None or dh >= cur[0]:
+            key = canonical_key(g)
+            if cur is None or dh > cur[0] or key < cur[1]:
+                best[d] = (dh, key, v)
     entries = []
-    run_delta, run_key = 0, id_key
+    run_delta, run_key, run_v = 0, G.identity_key, 0
     for n in range(1, n_max + 1):
         cand = best.get(n)
         if cand is not None and cand[0] > run_delta:
-            run_delta, run_key = cand
+            run_delta, run_key, run_v = cand
         exact = H.is_exact and (capped_at is None or n < capped_at)
         entries.append(
             ProfileEntry(
@@ -221,7 +224,7 @@ def distortion_profile(
                 delta=run_delta,
                 exact=exact,
                 witness_key=run_key,
-                witness_word=G.alphabet.format_word(idx.geodesic_word(run_key)),
+                witness_word=G.alphabet.format_word(idx.vertex_word(run_v)),
                 witness_dh=run_delta,
             )
         )

@@ -293,11 +293,11 @@ def run_klein_check(
     idx = cayley.ball(G, radius, max_elements=max_elements, threads=threads)
     census: dict[Optional[int], int] = {}
     order2_witnesses = []
-    for key, g in zip(idx.keys_shortlex, idx.elements):
+    for v, g in enumerate(idx.elements):
         order = order_of_element(g, G.model, cap=_ORDER_CAP)
         census[order] = census.get(order, 0) + 1
         if order == 2:
-            order2_witnesses.append(G.alphabet.format_word(idx.geodesic_word(key)))
+            order2_witnesses.append(G.alphabet.format_word(idx.vertex_word(v)))
     rows = sorted(
         ((o if o is not None else "infinite_or_above_cap"), c)
         for o, c in census.items()
@@ -500,6 +500,8 @@ def run_combing_report(
         G, radius, max_elements=max_elements, threads=threads
     )
     idx = sigma.index
+    # check_bounded's cap depends on |B(r)| alone: test it before any work
+    combing.check_dense_cap(len(idx), radius)
     ident = G.model.identity
     sample = [(ident, g) for g in idx.elements]
     qg = combing.check_quasi_geodesic(sigma, sample)

@@ -23,6 +23,28 @@ the marking.  The default calls ``multiply``.  The overrides are:
 
 Any other image falls back to ``multiply``.  None of the actions caches
 anything, so they cost O(|X|) closures per marked group.
+
+Batch actions.  Ball enumeration expands a whole layer at once through
+``MarkedGroup.batch_action()``, which the model builds from the letter
+images on first use (``GroupModel.batch_action``) and the marked group
+keeps.  Two models have a packed one (module ``_packed``), acting on int64
+rows, one row per element:
+
+* ``IntegerMatrixGroup``: the d*d entries in row-major order; an elementary
+  letter is one column operation on the whole array, any other letter one
+  batched matmul.
+* ``DyadicAffineGroup``: the columns (k, num, exp); a product is a few
+  vectorised shifts, and normalisation counts trailing zeros on
+  ``num & -num`` with exact integer operations.
+
+The int64 bound rule: before acting, a batch action proves from the
+largest |entry| M of its input rows that no result overflows, with
+|result| <= 2M for an elementary letter and <= d * M * max|y| for a matmul
+(``DyadicBatch`` states its bound on num).  When the proof fails it
+returns None and enumeration goes on element by element over Python
+integers, so no wrapped integer is ever stored.  Every other model returns
+None from the start: its batch action is the default, one ``right_action``
+call per open slot.
 """
 
 from __future__ import annotations
@@ -59,6 +81,12 @@ class GroupModel(ABC):
         faster than a general product; the default looks ``multiply`` up on
         each call."""
         return lambda x: self.multiply(x, y)
+
+    def batch_action(self, images: Sequence[Element]):
+        """The packed batch action for these letter images, or None: ball
+        enumeration then expands each layer element by element through
+        ``right_action``."""
+        return None
 
     def equal(self, x: Element, y: Element) -> bool:
         return self.canonical_key(x) == self.canonical_key(y)
@@ -216,6 +244,11 @@ class IntegerMatrixGroup(GroupModel):
 
         return act
 
+    def batch_action(self, images):
+        from ._packed import MatrixBatch
+
+        return MatrixBatch.build(self.dim, images, [self._elementary(y) for y in images])
+
     def _elementary(self, y) -> Optional[tuple[int, int, int]]:
         """(i, j, s) when y = I + s e_ij with i != j and s = +-1, else None."""
         off = [
@@ -276,6 +309,11 @@ class DyadicAffineGroup(GroupModel):
 
     def canonical_key(self, x) -> bytes:
         return b"d%d,%d,%d" % x
+
+    def batch_action(self, images):
+        from ._packed import DyadicBatch
+
+        return DyadicBatch.build(images)
 
     def apply(self, x, value):
         from fractions import Fraction
@@ -366,6 +404,9 @@ class DirectProduct(GroupModel):
         return self._key_format % tuple(args)
 
 
+_UNBUILT = object()
+
+
 @dataclass
 class MarkedGroup:
     """A group model with an ordered marking of an alphabet by elements.
@@ -384,6 +425,7 @@ class MarkedGroup:
     _letter_images: tuple = field(init=False, repr=False, default=())
     # x -> x * letter_image_by_code(c), one per letter code c
     letter_actions: tuple = field(init=False, repr=False, compare=False, default=())
+    _batch: Any = field(init=False, repr=False, compare=False, default=_UNBUILT)
 
     def __post_init__(self):
         if len(self.marking) != len(self.alphabet):
@@ -397,6 +439,14 @@ class MarkedGroup:
 
     def letter_image_by_code(self, code: int) -> Element:
         return self._letter_images[code]
+
+    def batch_action(self):
+        """The model's packed batch action on the letter images, or None;
+        built on first use, so a marked group costs nothing until a ball is
+        enumerated."""
+        if self._batch is _UNBUILT:
+            self._batch = self.model.batch_action(self._letter_images)
+        return self._batch
 
     @property
     def identity_key(self) -> bytes:
@@ -516,20 +566,20 @@ def injectivity_on_ball(h: MarkedHomomorphism, n: int, max_elements: int = 10_00
     # one layer beyond n so a group that closes up exactly at radius n is
     # still recognized as exhausted
     idx = ball(h.source, n + 1, max_elements=max_elements)
-    seen: dict[bytes, bytes] = {}
+    seen: dict[bytes, int] = {}
     collisions = []
-    for key in idx.keys_shortlex[: sum(idx.sphere_sizes[: n + 1])]:
-        word = idx.geodesic_word(key)
+    for v in range(sum(idx.sphere_sizes[: n + 1])):
+        word = idx.vertex_word(v)
         tkey = h.target.model.canonical_key(h.map_element_of_word(word))
-        if tkey in seen and seen[tkey] != key:
+        if tkey in seen and seen[tkey] != v:
             collisions.append(
                 (
-                    h.source.alphabet.format_word(idx.geodesic_word(seen[tkey])),
+                    h.source.alphabet.format_word(idx.vertex_word(seen[tkey])),
                     h.source.alphabet.format_word(word),
                 )
             )
         else:
-            seen.setdefault(tkey, key)
+            seen.setdefault(tkey, v)
     return InjectivityReport(
         radius=n,
         ball_size=sum(idx.sphere_sizes[: n + 1]),

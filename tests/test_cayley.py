@@ -333,9 +333,10 @@ def _sl2z_with_inverse_letter():
 
 
 def _count_products(G):
-    """Replace G's letter actions by counting wrappers; the list holds the
-    number of calls so far."""
-    calls = [0]
+    """Replace G's letter actions by counting wrappers, and wrap its packed
+    batch action, if any; ``calls[0]`` counts per-element products and
+    ``calls[1]`` the rows passed to the batch action."""
+    calls = [0, 0]
 
     def counted(act):
         def call(g):
@@ -344,6 +345,15 @@ def _count_products(G):
         return call
 
     G.letter_actions = tuple(counted(act) for act in G.letter_actions)
+    batch = G.batch_action()
+    if batch is not None:
+        batch_act = batch.act
+
+        def counted_batch(rows, code):
+            calls[1] += len(rows)
+            return batch_act(rows, code)
+
+        batch.act = counted_batch
     return calls
 
 
@@ -359,18 +369,30 @@ class TestOneProductPerEdge:
         assert calls[0] == m + (inner - 1) * (m - 1) == 1456
         idx.graph_csr()
         assert calls[0] - 1456 == (m - 1) * idx.sphere_sizes[-1] == 2916
+        assert calls[1] == 0
 
     @pytest.mark.parametrize("group", ZOO)
     def test_one_call_per_reverse_slot_pair(self, group):
-        # slot (v, c) = w >= 0 and slot (w, c ^ 1) = v are one product; a
-        # slot leaving the ball has no partner
         G = get_group(group)
         calls = _count_products(G)
         idx = cayley.ball(G, 5)
         table = idx._neighbour_table()
-        inside = int((table >= 0).sum())
-        assert inside % 2 == 0
-        assert calls[0] == inside // 2 + int((table < 0).sum())
+        if G.batch_action() is None:
+            # slot (v, c) = w >= 0 and slot (w, c ^ 1) = v are one product;
+            # a slot leaving the ball has no partner
+            inside = int((table >= 0).sum())
+            assert inside % 2 == 0
+            assert calls[0] == inside // 2 + int((table < 0).sum())
+            assert calls[1] == 0
+        else:
+            # a packed layer passes the batch action one row per slot still
+            # open at the layer's start: every slot except those towards the
+            # layer before, which that layer's expansion filled
+            depth = idx.depth.astype(np.int64)
+            target_depth = np.where(table >= 0, depth[table], -3)
+            open_at_start = target_depth != depth[:, None] - 1
+            assert calls[0] == 0
+            assert calls[1] == int(open_at_start.sum())
 
 
 DEGENERATE_MARKINGS = {

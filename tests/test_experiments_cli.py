@@ -3,6 +3,7 @@ import json
 import pytest
 
 from groupgeo import cayley, cli, combing, experiments
+from groupgeo.errors import MemoryCapExceeded
 from groupgeo.groups import verify_presentation
 
 
@@ -138,6 +139,18 @@ class TestExperiments:
         table = report.tables["constants"]
         assert "k2,0" in table
         assert "equivariant,True" in table
+
+    def test_combing_report_tests_the_dense_cap_first(self, monkeypatch):
+        monkeypatch.setattr(combing, "_DENSE_DISTANCE_LIMIT", 16)
+
+        def never(*args, **kwargs):
+            raise AssertionError("check_quasi_geodesic ran before the dense cap")
+
+        monkeypatch.setattr(combing, "check_quasi_geodesic", never)
+        with pytest.raises(MemoryCapExceeded) as exc:
+            experiments.run_combing_report("free2", 2)
+        assert str(exc.value).startswith("check_bounded: the radius-2 ball has 17 vertices")
+        assert (exc.value.cap, exc.value.radius) == (16, 2)
 
     def test_combing_report_is_seed_stable(self):
         a = experiments.run_combing_report("z2", 3, seed=7)
