@@ -17,7 +17,6 @@ marked group cost nothing more.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +30,24 @@ def max_abs(rows: np.ndarray) -> int:
     if not rows.size:
         return 0
     return max(int(rows.max()), -int(rows.min()))
+
+
+def row_keys(pool: np.ndarray) -> np.ndarray:
+    """One key per row, equal exactly when the rows are equal.  Only the
+    columns that vary in ``pool`` count: each is offset by its minimum and
+    given the bits of its range, and they are packed into one int64 when
+    the widths add up to at most 63 bits, else kept as raw bytes."""
+    lows, highs = pool.min(axis=0).tolist(), pool.max(axis=0).tolist()
+    cols = [j for j, (a, b) in enumerate(zip(lows, highs)) if a != b]
+    widths = [(highs[j] - lows[j]).bit_length() for j in cols]
+    if sum(widths) > 63:
+        varying = np.ascontiguousarray(pool[:, cols])
+        return varying.view(np.dtype((np.void, varying.itemsize * len(cols)))).ravel()
+    key = np.zeros(len(pool), dtype=np.int64)
+    for j, bits in zip(cols, widths):
+        key <<= bits
+        key |= pool[:, j] - lows[j]
+    return key
 
 
 class MatrixBatch:
@@ -77,16 +94,19 @@ class MatrixBatch:
         return np.matmul(rows.reshape(-1, d, d), Y).reshape(-1, d * d)
 
     def unpack(self, rows: np.ndarray) -> list:
-        """Tuples of row tuples of Python ints, built column by column; a
-        matrix row that is the same in every element is one shared tuple."""
-        d, n = self.dim, len(rows)
+        """Tuples of row tuples of Python ints.  Equal matrix rows are one
+        shared tuple: each block of d columns gets one tuple per distinct
+        row, found by ``np.unique`` over ``row_keys``, so n elements keep n
+        outer tuples plus the distinct rows instead of (d + 1) * n tuples."""
+        d = self.dim
+        if not len(rows):
+            return []
         matrix_rows = []
         for i in range(d):
             block = rows[:, i * d:(i + 1) * d]
-            if n and (block == block[0]).all():
-                matrix_rows.append(repeat(tuple(block[0].tolist()), n))
-            else:
-                matrix_rows.append(zip(*(block[:, j].tolist() for j in range(d))))
+            _, first, inverse = np.unique(row_keys(block), return_index=True, return_inverse=True)
+            distinct = list(zip(*(block[first, j].tolist() for j in range(d))))
+            matrix_rows.append(map(distinct.__getitem__, inverse.tolist()))
         return list(zip(*matrix_rows))
 
 

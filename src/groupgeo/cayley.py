@@ -32,6 +32,8 @@ Theory*, 2005, ch. 5).  The state behind a ball is one of two kinds:
   other side.  An edge between two frontier rows is open at both ends and
   computed from both; an edge into layer r is computed once.  ``elements``,
   ``keys_shortlex`` and ``index`` are decoded from the rows on first use.
+  A stop-key search (``word_length_of``, ``geodesic_shortlex``) decodes and
+  keys each layer once, and keeps the vertex it finds.
   Where a layer cannot prove that its products fit in int64, it and the
   rest of the enumeration run element by element on Python integers.
 * Element by element (``_ElementLayers``), the default batch action: a list
@@ -71,9 +73,14 @@ class BallIndex:
     """A complete radius-n ball with exact distances and geodesic witnesses,
     all fields in shortlex vertex order (see the module docstring)."""
 
-    def __init__(self, group: MarkedGroup, radius: int, sphere_sizes: list[int], layers):
+    def __init__(
+        self, group: MarkedGroup, radius: int, sphere_sizes: list[int], layers,
+        stop_vertex: Optional[int] = None,
+    ):
         self.group = group
         self.radius = radius
+        # the vertex of ``ball``'s _stop_key, None when it is not in the ball
+        self.stop_vertex = stop_vertex
         self.sphere_sizes = sphere_sizes
         self._layers = layers
         self.parent, self.letter = layers.tree()
@@ -226,8 +233,9 @@ class _ElementLayers:
     def index(self) -> dict[bytes, int]:
         return self._index
 
-    def holds(self, key: bytes) -> bool:
-        return key in self._index
+    def find(self, key: bytes) -> Optional[int]:
+        """The vertex with this key, or None."""
+        return self._index.get(key)
 
     def expand(self, r: int, max_elements: int) -> int:
         """Append layer r; the number of new vertices."""
@@ -287,24 +295,6 @@ class _ElementLayers:
         return np.frombuffer(self.nbr, dtype=np.int32).reshape(len(self._elements), m)
 
 
-def _row_keys(pool: np.ndarray) -> np.ndarray:
-    """One key per row, equal exactly when the rows are equal.  Only the
-    columns that vary in ``pool`` count: each is offset by its minimum and
-    given the bits of its range, and they are packed into one int64 when
-    the widths add up to at most 63 bits, else kept as raw bytes."""
-    lows, highs = pool.min(axis=0).tolist(), pool.max(axis=0).tolist()
-    cols = [j for j, (a, b) in enumerate(zip(lows, highs)) if a != b]
-    widths = [(highs[j] - lows[j]).bit_length() for j in cols]
-    if sum(widths) > 63:
-        varying = np.ascontiguousarray(pool[:, cols])
-        return varying.view(np.dtype((np.void, varying.itemsize * len(cols)))).ravel()
-    key = np.zeros(len(pool), dtype=np.int64)
-    for j, bits in zip(cols, widths):
-        key <<= bits
-        key |= pool[:, j] - lows[j]
-    return key
-
-
 class _PackedLayers:
     """Packed state: per-layer blocks of int64 element rows, neighbour-table
     rows, parents and letters, joined into one array each by ``seal``.
@@ -341,10 +331,14 @@ class _PackedLayers:
             self._index = dict(zip(self.keys(), range(self.size)))
         return self._index
 
-    def holds(self, key: bytes) -> bool:
-        # the layers before the last were looked at on earlier calls
+    def find(self, key: bytes) -> Optional[int]:
+        """The vertex in the last layer with this key, or None; the layers
+        before it were searched on earlier calls."""
         canonical_key = self.G.model.canonical_key
-        return any(canonical_key(g) == key for g in self.batch.unpack(self.rows[-1]))
+        for v, g in enumerate(self.batch.unpack(self.rows[-1]), self.lo):
+            if canonical_key(g) == key:
+                return v
+        return None
 
     def _link(self, rows_f: np.ndarray, table_f: np.ndarray):
         """The products on the open slots of frontier rows ``rows_f`` (whose
@@ -352,6 +346,8 @@ class _PackedLayers:
         (src, code, candidates, first, inverse) from one ``np.unique`` over
         frontier rows then candidates, or None when the batch action cannot
         prove that a product fits in int64."""
+        from ._packed import row_keys  # loaded with the batch action
+
         m = table_f.shape[1]
         slots = np.flatnonzero(table_f.ravel() == _UNKNOWN)
         src, code = np.divmod(slots, m)
@@ -363,7 +359,7 @@ class _PackedLayers:
                 if out is None:
                     return None
                 cand[sel] = out
-        keys = _row_keys(np.concatenate((rows_f, cand)))
+        keys = row_keys(np.concatenate((rows_f, cand)))
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         return src, code, cand, first, inverse
 
@@ -445,16 +441,20 @@ def ball(
     as a layer would make more than ``max_elements``: a packed layer before
     it is stored, an element-by-element one at its first element past the
     cap.  Enumeration failure is never a silent truncation.  With ``_stop_key``, enumeration
-    stops after the layer that holds that key.  ``threads`` is accepted but
+    stops after the layer that holds that key, each layer searched once, and
+    the index's ``stop_vertex`` is its vertex.  ``threads`` is accepted but
     not parallel (see the module docstring).
     """
     if n < 0:
         raise ValueError("radius must be >= 0")
     layers = _PackedLayers.start(G) or _ElementLayers.start(G)
     sphere_sizes = [1]
+    found = None
     for r in range(1, n + 1):
-        if _stop_key is not None and layers.holds(_stop_key):
-            break
+        if _stop_key is not None:
+            found = layers.find(_stop_key)
+            if found is not None:
+                break
         count = layers.expand(r, max_elements)
         if count is None:
             # no int64 proof for this layer: it and the rest run on Python ints
@@ -465,7 +465,9 @@ def ball(
             # group exhausted; remaining spheres are empty
             sphere_sizes.extend([0] * (n - r))
             break
-    return BallIndex(G, len(sphere_sizes) - 1, sphere_sizes, layers)
+    if _stop_key is not None and found is None:
+        found = layers.find(_stop_key)
+    return BallIndex(G, len(sphere_sizes) - 1, sphere_sizes, layers, found)
 
 
 def word_length_of(
@@ -478,9 +480,8 @@ def word_length_of(
     if G.norm_oracle is not None:
         norm = G.norm_oracle(g)
         return norm if norm <= cap else None
-    key = G.model.canonical_key(g)
-    idx = ball(G, cap, max_elements=max_elements, _stop_key=key)
-    v = idx.index.get(key)
+    idx = ball(G, cap, max_elements=max_elements, _stop_key=G.model.canonical_key(g))
+    v = idx.stop_vertex
     return None if v is None else int(idx.depth[v])
 
 
@@ -503,11 +504,10 @@ def geodesic_shortlex(
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> Word:
     """The shortlex-least geodesic word evaluating to g."""
-    key = G.model.canonical_key(g)
-    idx = ball(G, cap, max_elements=max_elements, _stop_key=key)
-    if key not in idx.index:
+    idx = ball(G, cap, max_elements=max_elements, _stop_key=G.model.canonical_key(g))
+    if idx.stop_vertex is None:
         raise CapExceeded(f"element not found within radius {cap}")
-    return idx.geodesic_word(key)
+    return idx.vertex_word(idx.stop_vertex)
 
 
 def growth_series(

@@ -338,12 +338,13 @@ def quasiconvexity_constant(
 def _conjugators_in_ball(
     G: MarkedGroup, idx: cayley.BallIndex, a: Element, gamma: Element, n: int
 ) -> Iterator[int]:
-    """Vertices psi of ball(n) with psi gamma psi^-1 = a, in shortlex order."""
-    model = G.model
-    a_key = model.canonical_key(a)
+    """Vertices psi of ball(n) with psi gamma psi^-1 = a, in shortlex order.
+
+    The test is psi gamma = a psi, the same identity with no inverse: two
+    products and two keys per vertex."""
+    multiply, canonical_key = G.model.multiply, G.model.canonical_key
     for v, psi in zip(range(sum(idx.sphere_sizes[: n + 1])), idx.elements):
-        conj = model.multiply(model.multiply(psi, gamma), model.invert(psi))
-        if model.canonical_key(conj) == a_key:
+        if canonical_key(multiply(psi, gamma)) == canonical_key(multiply(a, psi)):
             yield v
 
 

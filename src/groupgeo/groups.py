@@ -45,6 +45,21 @@ returns None and enumeration goes on element by element over Python
 integers, so no wrapped integer is ever stored.  Every other model returns
 None from the start: its batch action is the default, one ``right_action``
 call per open slot.
+
+General products.  ``multiply`` and ``invert`` of arbitrary elements (the
+combing checks, conjugacy tests, ``evaluate`` of inverse letters) cost what
+the algebra costs:
+
+* ``IntegerMatrixGroup`` runs straight-line code generated from the
+  dimension alone and compiled once per dimension (``_straight_line``): the
+  product unpacks both matrices and returns the d^2 dot products; the
+  inverse is the adjugate by Laplace expansion with every subdeterminant
+  computed once, about d^2 * 2^d terms, and the determinant is row 0 of x
+  times column 0 of the adjugate.
+* ``FreeGroupModel`` elements are freely reduced, so x * y cancels only
+  where x meets y and never reduces the whole word again.
+
+No product, inverse or key is memoised per element.
 """
 
 from __future__ import annotations
@@ -53,7 +68,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from ._kernel import ops
 from .errors import BadCosetRep, MissingPresentation
 from .words import Alphabet, Presentation, Word
 
@@ -162,29 +176,68 @@ class TableGroup(GroupModel):
         return cls(names, table)
 
 
-def _det(m: tuple[tuple[int, ...], ...]) -> int:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
-        total += (-1) ** j * m[0][j] * _det(minor)
-    return total
+# dim -> (multiply, adjugate_and_det), straight-line code for that dimension
+_STRAIGHT_LINE: dict = {}
 
 
-def _adjugate(m: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    n = len(m)
-    cof = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = tuple(
-                row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i
-            )
-            cof[i][j] = (-1) ** (i + j) * (_det(minor) if n > 1 else 1)
-    return tuple(tuple(cof[j][i] for j in range(n)) for i in range(n))
+def _straight_line(dim: int):
+    """Straight-line ``multiply(x, y)`` and ``adjugate_and_det(x)`` for
+    dim x dim matrices of Python ints, generated from the dimension alone and
+    compiled once per dimension.
+
+    The adjugate is a Laplace expansion along the first remaining row of
+    every minor, each subdeterminant computed once and kept in a local,
+    keyed by its row set and column set: about dim^2 * 2^dim terms where the
+    plain recursion takes dim!.  The determinant is row 0 of x times
+    column 0 of the adjugate."""
+    fns = _STRAIGHT_LINE.get(dim)
+    if fns is not None:
+        return fns
+    d = range(dim)
+    x = [[f"x{i}_{j}" for j in d] for i in d]
+    y = [[f"y{i}_{j}" for j in d] for i in d]
+
+    def matrix(entries):
+        # a tuple-of-row-tuples display, a target or a value; the trailing
+        # commas keep a 1 x 1 matrix a tuple of tuples
+        return "(" + "".join("(" + "".join(e + ", " for e in row) + "), " for row in entries) + ")"
+
+    lines = ["def multiply(x, y):", f"    {matrix(x)} = x", f"    {matrix(y)} = y"]
+    lines.append("    return " + matrix(
+        [[" + ".join(f"{x[i][k]}*{y[k][j]}" for k in d) for j in d] for i in d]
+    ))
+    lines += ["def adjugate_and_det(x):", f"    {matrix(x)} = x"]
+    names: dict = {}
+
+    def det(rows, cols):
+        # the determinant of x restricted to rows x cols, as a local's name
+        if not rows:
+            return "1"
+        if len(rows) == 1:
+            return x[rows[0]][cols[0]]
+        name = names.get((rows, cols))
+        if name is None:
+            terms = [
+                f"{'- ' if k % 2 else '+ '}{x[rows[0]][c]}*{det(rows[1:], cols[:k] + cols[k + 1:])}"
+                for k, c in enumerate(cols)
+            ]
+            name = names[rows, cols] = f"m{len(names)}"
+            lines.append(f"    {name} = " + " ".join(terms)[2:])
+        return name
+
+    def cofactor(i, j):
+        # (-1)^(i+j) times the minor without row i and column j
+        minor = det(tuple(r for r in d if r != i), tuple(c for c in d if c != j))
+        return f"-{minor}" if (i + j) % 2 else minor
+
+    # adj(x)[i][j] is the (j, i) cofactor
+    adj = [[cofactor(j, i) for j in d] for i in d]
+    det_x = " + ".join(f"{x[0][k]}*{adj[k][0]}" for k in d)
+    lines.append(f"    return {matrix(adj)}, {det_x}")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<IntegerMatrixGroup({dim})>", "exec"), namespace)
+    fns = _STRAIGHT_LINE[dim] = (namespace["multiply"], namespace["adjugate_and_det"])
+    return fns
 
 
 class IntegerMatrixGroup(GroupModel):
@@ -195,7 +248,10 @@ class IntegerMatrixGroup(GroupModel):
     """
 
     def __init__(self, dim: int):
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+            raise ValueError(f"matrix dimension must be an integer >= 1, got {dim!r}")
         self.dim = dim
+        self._multiply, self._adjugate_and_det = _straight_line(dim)
         self._identity = tuple(
             tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
         )
@@ -209,23 +265,18 @@ class IntegerMatrixGroup(GroupModel):
         m = tuple(tuple(int(v) for v in row) for row in rows)
         if len(m) != self.dim or any(len(r) != self.dim for r in m):
             raise ValueError(f"expected a {self.dim}x{self.dim} matrix")
-        if _det(m) not in (1, -1):
+        if self._adjugate_and_det(m)[1] not in (1, -1):
             raise ValueError("matrix is not invertible over the integers")
         return m
 
     def multiply(self, x, y):
-        n = self.dim
-        return tuple(
-            tuple(sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
+        return self._multiply(x, y)
 
     def invert(self, x):
-        d = _det(x)
-        adj = _adjugate(x)
-        if d == 1:
+        adj, det = self._adjugate_and_det(x)
+        if det == 1:
             return adj
-        if d == -1:
+        if det == -1:
             return tuple(tuple(-v for v in row) for row in adj)
         raise ValueError("matrix is not invertible over the integers")
 
@@ -343,13 +394,14 @@ class FreeGroupModel(GroupModel):
         return (2 * i,)
 
     def multiply(self, x, y):
-        if not x:
-            return y
-        if not y:
-            return x
-        if x[-1] != y[0] ^ 1:
+        # x and y are reduced, so letters cancel only where they meet: drop
+        # the k last codes of x that are inverse to the k first codes of y
+        if not x or not y or x[-1] != y[0] ^ 1:
             return x + y
-        return tuple(ops.free_reduce(x + y))
+        k, n = 1, min(len(x), len(y))
+        while k < n and x[-1 - k] == y[k] ^ 1:
+            k += 1
+        return x[:len(x) - k] + y[k:]
 
     def right_action(self, y):
         if len(y) != 1:
@@ -359,7 +411,7 @@ class FreeGroupModel(GroupModel):
         return lambda x: x[:-1] if x and x[-1] == inv else x + y
 
     def invert(self, x):
-        return tuple(c ^ 1 for c in reversed(x))
+        return tuple([c ^ 1 for c in reversed(x)])
 
     def canonical_key(self, x) -> bytes:
         if self._byte_codes:

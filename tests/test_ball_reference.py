@@ -302,6 +302,48 @@ class TestCaps:
             assert list(word.letters) == _reference_word(ref, v)
             assert radii[-1] == stop
 
+    @pytest.mark.parametrize("group", PACKED)
+    def test_stop_key_search_keys_each_element_once(self, group, monkeypatch):
+        # the query's own key, then at most one per element of the ball
+        # enumerated up to the element's layer, which is searched once
+        G = get_group(group)
+        ref = _reference_ball(G, 5)
+        calls = [0]
+        key = G.model.canonical_key
+
+        def counted(x):
+            calls[0] += 1
+            return key(x)
+
+        monkeypatch.setattr(G.model, "canonical_key", counted)
+        n = len(ref["elements"])
+        for v in (0, 1, n // 7, n // 2, n - 1):
+            g = ref["elements"][v]
+            size = sum(ref["sphere_sizes"][: ref["depth"][v] + 1])
+            for search in (cayley.word_length_of, cayley.geodesic_shortlex):
+                calls[0] = 0
+                search(g, G, 5)
+                assert calls[0] <= 1 + size
+        # an element beyond the cap: every layer of the radius-2 ball, once
+        calls[0] = 0
+        assert cayley.word_length_of(ref["elements"][n - 1], G, 2) is None
+        assert calls[0] == 1 + sum(ref["sphere_sizes"][:3])
+
+    def test_stop_key_heis3_length_six(self, monkeypatch):
+        G = get_group("heis3")
+        g = evaluate(G.alphabet.parse_word("a a b b a^-1 b"), G)
+        calls = [0]
+        key = G.model.canonical_key
+
+        def counted(x):
+            calls[0] += 1
+            return key(x)
+
+        monkeypatch.setattr(G.model, "canonical_key", counted)
+        assert cayley.word_length_of(g, G, 8) == 6
+        size = len(cayley.ball(G, 6))
+        assert calls[0] <= size
+
 
 def _unimodular(dim, ops):
     """The product of elementary matrices I + c e_ij, one per (i, j, c)."""
