@@ -32,6 +32,8 @@ Theory*, 2005, ch. 5).  The state behind a ball is one of two kinds:
   other side.  An edge between two frontier rows is open at both ends and
   computed from both; an edge into layer r is computed once.  ``elements``,
   ``keys_shortlex`` and ``index`` are decoded from the rows on first use.
+  ``select(row_filter)`` decodes only the rows that a filter on the int64
+  rows passes, so a scan for a few subgroup members decodes those alone.
   A stop-key search (``word_length_of``, ``geodesic_shortlex``) decodes and
   keys each layer once, and keeps the vertex it finds.
   Where a layer cannot prove that its products fit in int64, it and the
@@ -103,6 +105,19 @@ class BallIndex:
     def index(self) -> dict[bytes, int]:
         """Canonical key -> vertex."""
         return self._layers.index()
+
+    def select(self, row_filter=None) -> tuple:
+        """(vertices, elements) of the vertices whose packed rows pass
+        ``row_filter``, a map from an int64 row array in the batch action's
+        layout (see ``_packed``) to a boolean mask; only those rows are
+        decoded.  Every vertex and ``elements`` when the filter is None or
+        the ball is not packed."""
+        layers = self._layers
+        if row_filter is None or not isinstance(layers, _PackedLayers):
+            return range(len(self)), self.elements
+        rows = layers.seal().rows[0]
+        vs = np.flatnonzero(row_filter(rows))
+        return vs.tolist(), layers.batch.unpack(rows[vs])
 
     @property
     def entries(self) -> "_EntryView":

@@ -192,25 +192,45 @@ def check_quasi_geodesic(
                 segments.append((t - s, sigma.distance(verts[s], verts[t]), p_idx, s, t))
     if n_pairs == 0:
         raise TooFewPoints("empty sample")
-    lam = Fraction(1)
-    lam_witness = None
-    for span, d, p_idx, s, t in segments:
-        for ratio in ((Fraction(span, d) if d else None), Fraction(d, span)):
-            if ratio is not None and ratio > lam:
-                lam = ratio
-                lam_witness = (p_idx, s, t)
-    eps = Fraction(0)
-    eps_witness = None
-    for span, d, p_idx, s, t in segments:
-        for slack in (d - lam * span, Fraction(span, 1) / lam - d):
-            if slack > eps:
-                eps = slack
-                eps_witness = (p_idx, s, t)
+    lam, lam_witness, eps, eps_witness = _quasi_geodesic_constants(segments)
     return ConstantsReport(
         lam=lam,
         epsilon=eps,
         witnesses={"lambda": lam_witness, "epsilon": eps_witness},
     )
+
+
+def _quasi_geodesic_constants(segments: list[tuple]) -> tuple:
+    """(lambda, its witness, epsilon, its witness) over segments (span,
+    distance, pair index, s, t) with span > 0.
+
+    lambda = ln / ld and epsilon = en / ed are kept as integer pairs with
+    positive denominators and compared by cross-multiplying; a witness is
+    the first segment that strictly raises its constant."""
+    ln, ld = 1, 1
+    lam_witness = None
+    for span, d, p_idx, s, t in segments:
+        # the ratios span / d (for d > 0), then d / span
+        if d and span * ld > ln * d:
+            ln, ld = span, d
+            lam_witness = (p_idx, s, t)
+        if d * ld > ln * span:
+            ln, ld = d, span
+            lam_witness = (p_idx, s, t)
+    en, ed = 0, 1
+    eps_witness = None
+    for span, d, p_idx, s, t in segments:
+        # the slacks d - lambda * span = (d ld - ln span) / ld, then
+        # span / lambda - d = (span ld - d ln) / ln
+        num = d * ld - ln * span
+        if num * ed > en * ld:
+            en, ed = num, ld
+            eps_witness = (p_idx, s, t)
+        num = span * ld - d * ln
+        if num * ed > en * ln:
+            en, ed = num, ln
+            eps_witness = (p_idx, s, t)
+    return Fraction(ln, ld), lam_witness, Fraction(en, ed), eps_witness
 
 
 def check_equivariance(
@@ -331,7 +351,8 @@ def quasiconvexity_constant(
         idx = sigma.index
     else:
         idx = cayley.ball(G, radius, max_elements=max_elements, threads=threads)
-    members = [v for v, g in enumerate(idx.elements) if H.contains(g)]
+    vertices, elements = idx.select(H.row_filter)
+    members = [v for v, g in zip(vertices, elements) if H.contains(g)]
     return _quasiconvexity_over_members(G, idx, members, radius)
 
 

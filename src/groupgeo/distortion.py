@@ -4,6 +4,12 @@ delta(n) is the largest intrinsic subgroup length among members of the
 radius-n ball of the ambient group.  Profiles are computed over exact BFS
 balls; subgroup oracles must say when their answers are capped, and such
 entries are flagged as lower bounds in every serialization.
+
+A subgroup oracle may carry a ``row_filter``: a map from the ball's packed
+int64 rows, in the layout of ``_packed`` (row-major matrix entries, or the
+dyadic columns (k, num, exp)), to a boolean mask that is a necessary
+condition for membership.  The profile then decodes only the rows that pass
+(``cayley.BallIndex.select``); ``contains`` stays the exact decider.
 """
 
 from __future__ import annotations
@@ -22,9 +28,15 @@ from .words import Alphabet, Word
 
 
 class SubgroupModel(ABC):
-    """Exact membership plus exact intrinsic word length for a subgroup."""
+    """Exact membership plus exact intrinsic word length for a subgroup.
+
+    ``row_filter``, when not None, maps an int64 array of packed ball rows
+    (``_packed`` layout) to a boolean mask that every member's row passes: a
+    necessary condition, a superset of the members.  Rows it rejects are
+    never decoded; ``contains`` still decides each row it passes."""
 
     ambient: MarkedGroup
+    row_filter: Optional[Callable] = None
 
     @abstractmethod
     def contains(self, g: Element) -> bool: ...
@@ -43,14 +55,17 @@ class CyclicExact(SubgroupModel):
     """Infinite cyclic subgroup with analytic exponent extraction.
 
     ``exponent_of`` maps an ambient element to the integer m with g = z^m, or
-    None for non-members; d_H(1, z^m) = |m|.
+    None for non-members; d_H(1, z^m) = |m|.  ``row_filter`` is the optional
+    packed-row screen of ``SubgroupModel``.
     """
 
     def __init__(self, ambient: MarkedGroup, generator: Element,
-                 exponent_of: Callable[[Element], Optional[int]]):
+                 exponent_of: Callable[[Element], Optional[int]],
+                 row_filter: Optional[Callable] = None):
         self.ambient = ambient
         self.generator = generator
         self.exponent_of = exponent_of
+        self.row_filter = row_filter
 
     def contains(self, g: Element) -> bool:
         return self.exponent_of(g) is not None
@@ -194,11 +209,14 @@ def distortion_profile(
     idx = cayley.ball(G, n_max, max_elements=max_elements, threads=threads)
     # best (dh, key, vertex) per exact distance; ties resolve to the
     # canonical-least key, so the witness is deterministic.  Keys are taken
-    # for subgroup members only.
+    # for subgroup members only, and only rows passing H's filter are decoded.
     best: dict[int, tuple[int, bytes, int]] = {}
     capped_at: Optional[int] = None
     canonical_key = G.model.canonical_key
-    for v, (g, d) in enumerate(zip(idx.elements, idx.depth.tolist())):
+    vertices, elements = idx.select(H.row_filter)
+    depth = idx.depth.tolist()
+    for v, g in zip(vertices, elements):
+        d = depth[v]
         if not H.contains(g):
             continue
         dh = H.length_in_H(g)

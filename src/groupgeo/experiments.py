@@ -339,8 +339,18 @@ def _bs12_axis_exponent(g) -> Optional[int]:
     return num if k == 0 and exp == 0 else None
 
 
+def _bs12_axis_rows(rows):
+    """The row form of ``_bs12_axis_exponent``'s test on packed (k, num, exp)."""
+    return (rows[:, 0] == 0) & (rows[:, 2] == 0)
+
+
 def _heis_center_exponent(m) -> Optional[int]:
     return m[0][2] if m[0][1] == 0 and m[1][2] == 0 else None
+
+
+def _heis_center_rows(rows):
+    """The row form of ``_heis_center_exponent``'s test on packed 3 x 3 rows."""
+    return (rows[:, 1] == 0) & (rows[:, 5] == 0)
 
 
 class AmbientAsSubgroup(distortion.SubgroupModel):
@@ -378,7 +388,7 @@ def _suite_cases() -> list[dict]:
             "n_max": 17,
             "expect": "exponential",
             "subgroup": lambda G: distortion.CyclicExact(
-                G, G.marking[0], _bs12_axis_exponent
+                G, G.marking[0], _bs12_axis_exponent, row_filter=_bs12_axis_rows
             ),
         },
         {
@@ -390,6 +400,7 @@ def _suite_cases() -> list[dict]:
                 G,
                 G.model.element([[1, 0, 1], [0, 1, 0], [0, 0, 1]]),
                 _heis_center_exponent,
+                row_filter=_heis_center_rows,
             ),
         },
         {
