@@ -49,8 +49,7 @@ slots towards the layer before are already filled; ``graph_csr`` fills the
 rest on first use, through the same batch action, and the CSR graph is a
 mask over the table.
 
-Enumeration runs on one thread.  ``threads`` is accepted, and output is
-identical for every value, but it is not parallel.  A process-based split
+Enumeration runs on one thread and takes no thread count.  A parallel split
 comes back only with a benchmark gain of at least 1.5x.
 """
 
@@ -64,10 +63,9 @@ from typing import IO, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .errors import CapExceeded, MemoryCapExceeded
-from .groups import Element, MarkedGroup
+from .groups import DEFAULT_MAX_ELEMENTS, Element, MarkedGroup
 from .words import Word
 
-DEFAULT_MAX_ELEMENTS = 10_000_000
 _UNKNOWN = -2  # a neighbour-table slot whose product is not computed yet
 
 
@@ -447,7 +445,6 @@ def ball(
     G: MarkedGroup,
     n: int,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
-    threads: int = 1,
     _stop_key: Optional[bytes] = None,
 ) -> BallIndex:
     """Enumerate the complete radius-n ball of (G, X).
@@ -457,8 +454,7 @@ def ball(
     it is stored, an element-by-element one at its first element past the
     cap.  Enumeration failure is never a silent truncation.  With ``_stop_key``, enumeration
     stops after the layer that holds that key, each layer searched once, and
-    the index's ``stop_vertex`` is its vertex.  ``threads`` is accepted but
-    not parallel (see the module docstring).
+    the index's ``stop_vertex`` is its vertex.
     """
     if n < 0:
         raise ValueError("radius must be >= 0")
@@ -529,7 +525,6 @@ def growth_series(
     G: MarkedGroup,
     n: int,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
-    threads: int = 1,
 ) -> list[int]:
     """Sphere sizes for radii 0..n."""
-    return ball(G, n, max_elements=max_elements, threads=threads).sphere_sizes
+    return ball(G, n, max_elements=max_elements).sphere_sizes

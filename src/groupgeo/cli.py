@@ -28,8 +28,8 @@ def _add_common(p: argparse.ArgumentParser, group: bool = True, radius: bool = T
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--max-elements", type=int, default=cayley.DEFAULT_MAX_ELEMENTS)
     p.add_argument("--threads", type=int, default=1,
-                   help="accepted but not parallel: enumeration runs on one thread; "
-                        "results are identical for any value")
+                   help="ignored; kept so that scripts passing it still run "
+                        "(enumeration runs on one thread)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,7 +91,7 @@ def _emit_report(report: experiments.ExperimentReport, args) -> None:
 
 def _cmd_ball(args) -> int:
     G = experiments.resolve_group(args.group)
-    idx = cayley.ball(G, args.radius, max_elements=args.max_elements, threads=args.threads)
+    idx = cayley.ball(G, args.radius, max_elements=args.max_elements)
     if args.format == "json" and not args.out:
         payload = {
             "group": G.name or args.group,
@@ -120,9 +120,7 @@ def _cmd_ball(args) -> int:
 
 
 def _cmd_distortion(args) -> int:
-    reports = experiments.run_distortion_suite(
-        max_elements=args.max_elements, threads=args.threads
-    )
+    reports = experiments.run_distortion_suite(max_elements=args.max_elements)
     ok = True
     for report in reports:
         _emit_report(report, args)
@@ -132,8 +130,7 @@ def _cmd_distortion(args) -> int:
 
 def _cmd_combing_check(args) -> int:
     report = experiments.run_combing_report(
-        args.group, args.radius, max_elements=args.max_elements,
-        threads=args.threads, seed=args.seed,
+        args.group, args.radius, max_elements=args.max_elements, seed=args.seed
     )
     _emit_report(report, args)
     return 0 if report.verdict else 1
@@ -142,9 +139,7 @@ def _cmd_combing_check(args) -> int:
 def _cmd_centralizer(args) -> int:
     G = experiments.resolve_group(args.group)
     a = evaluate(G.alphabet.parse_word(args.element), G)
-    sigma = combing.shortlex_bicombing(
-        G, args.radius, max_elements=args.max_elements, threads=args.threads
-    )
+    sigma = combing.shortlex_bicombing(G, args.radius, max_elements=args.max_elements)
     members = combing.centralizer_ball(
         G, a, args.radius, max_elements=args.max_elements, index=sigma.index
     )
@@ -174,9 +169,7 @@ def _cmd_cover_table(args) -> int:
 
 
 def _cmd_klein_check(args) -> int:
-    report = experiments.run_klein_check(
-        args.radius, max_elements=args.max_elements, threads=args.threads
-    )
+    report = experiments.run_klein_check(args.radius, max_elements=args.max_elements)
     _emit_report(report, args)
     return 0 if report.verdict else 1
 

@@ -93,14 +93,13 @@ class ShortlexBicombing(Bicombing):
         G: MarkedGroup,
         cap: int,
         max_elements: int = cayley.DEFAULT_MAX_ELEMENTS,
-        threads: int = 1,
         index: Optional[cayley.BallIndex] = None,
     ):
         self.cap = cap
         if index is not None and index.group is G and index.radius >= cap:
             self.index = index
         else:
-            self.index = cayley.ball(G, cap, max_elements=max_elements, threads=threads)
+            self.index = cayley.ball(G, cap, max_elements=max_elements)
         super().__init__(group=G, rule=self._rule, distance_fn=self._distance)
 
     def _lookup(self, u: Element) -> int:
@@ -131,11 +130,10 @@ def shortlex_bicombing(
     G: MarkedGroup,
     cap: int,
     max_elements: int = cayley.DEFAULT_MAX_ELEMENTS,
-    threads: int = 1,
     index: Optional[cayley.BallIndex] = None,
 ) -> ShortlexBicombing:
     """The shortlex bicombing of (G, X), valid for pairs within the cap."""
-    return ShortlexBicombing(G, cap, max_elements=max_elements, threads=threads, index=index)
+    return ShortlexBicombing(G, cap, max_elements=max_elements, index=index)
 
 
 @dataclass
@@ -252,7 +250,7 @@ def check_equivariance(
 _DENSE_DISTANCE_LIMIT = 50_000  # n^2 uint8 distance matrix cap (2.5 GB)
 
 
-def _ball_distance_mode(G: MarkedGroup, idx: cayley.BallIndex) -> str:
+def _ball_distance_mode(idx: cayley.BallIndex) -> str:
     """Graph distance inside the ball equals the word metric when the group
     was exhausted; otherwise it is an upper bound and the report says so."""
     return "word_metric" if idx.sphere_sizes[-1] == 0 else "ball_graph"
@@ -274,7 +272,6 @@ def check_bounded(
     G: MarkedGroup,
     radius: int,
     max_elements: int = cayley.DEFAULT_MAX_ELEMENTS,
-    threads: int = 1,
 ) -> ConstantsReport:
     """Least k2 with k1 = 1 for d(p(t), q(t)) <= k1*max{d(x,x'), d(y,y')} + k2.
 
@@ -287,7 +284,7 @@ def check_bounded(
     if isinstance(sigma, ShortlexBicombing) and sigma.index.radius == radius:
         idx = sigma.index
     else:
-        idx = cayley.ball(G, radius, max_elements=max_elements, threads=threads)
+        idx = cayley.ball(G, radius, max_elements=max_elements)
     n = len(idx)
     check_dense_cap(n, radius)
     indptr, nbrs = idx.graph_csr()
@@ -301,7 +298,7 @@ def check_bounded(
         radius=radius,
         exhaustive=True,
         family="common_basepoint",
-        distance_mode=_ball_distance_mode(G, idx),
+        distance_mode=_ball_distance_mode(idx),
         witnesses={
             "k2_pair": (fmt(idx.vertex_word(a)), fmt(idx.vertex_word(b)))
         },
@@ -330,7 +327,7 @@ def _quasiconvexity_over_members(
         radius=radius,
         exhaustive=True,
         family="subgroup_members_in_ball",
-        distance_mode=_ball_distance_mode(G, idx),
+        distance_mode=_ball_distance_mode(idx),
         witnesses={
             "k_member": fmt(idx.vertex_word(witness[0])),
             "k_time": witness[1],
@@ -343,14 +340,13 @@ def quasiconvexity_constant(
     H: SubgroupModel,
     radius: int,
     max_elements: int = cayley.DEFAULT_MAX_ELEMENTS,
-    threads: int = 1,
 ) -> ConstantsReport:
     """sigma-quasi-convexity constant of H over its members in ball(radius)."""
     G = sigma.group
     if isinstance(sigma, ShortlexBicombing) and sigma.index.radius == radius:
         idx = sigma.index
     else:
-        idx = cayley.ball(G, radius, max_elements=max_elements, threads=threads)
+        idx = cayley.ball(G, radius, max_elements=max_elements)
     vertices, elements = idx.select(H.row_filter)
     members = [v for v, g in zip(vertices, elements) if H.contains(g)]
     return _quasiconvexity_over_members(G, idx, members, radius)
@@ -374,12 +370,11 @@ def centralizer_ball(
     a: Element,
     n: int,
     max_elements: int = cayley.DEFAULT_MAX_ELEMENTS,
-    threads: int = 1,
     index: Optional[cayley.BallIndex] = None,
 ) -> list[Element]:
     """{g in ball(n) : g a g^-1 = a}, in shortlex order."""
     idx = index if index is not None and index.radius >= n else cayley.ball(
-        G, n, max_elements=max_elements, threads=threads
+        G, n, max_elements=max_elements
     )
     return [idx.elements[v] for v in _conjugators_in_ball(G, idx, a, a, n)]
 
@@ -407,7 +402,6 @@ def centralizer_quasiconvexity_report(
     sigma: Bicombing,
     radius: int,
     max_elements: int = cayley.DEFAULT_MAX_ELEMENTS,
-    threads: int = 1,
 ) -> ConstantsReport:
     """Quasi-convexity constant of the centralizer Z(a) over ball(radius),
     plus, for every vertex v on a combing line of a member, the conjugate
@@ -420,7 +414,7 @@ def centralizer_quasiconvexity_report(
     if isinstance(sigma, ShortlexBicombing) and sigma.index.radius >= radius:
         idx = sigma.index
     else:
-        idx = cayley.ball(G, radius, max_elements=max_elements, threads=threads)
+        idx = cayley.ball(G, radius, max_elements=max_elements)
     members = list(_conjugators_in_ball(G, idx, a, a, radius))
     report = _quasiconvexity_over_members(G, idx, members, radius)
     fmt = G.alphabet.format_word

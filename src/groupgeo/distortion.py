@@ -200,13 +200,12 @@ def distortion_profile(
     H: SubgroupModel,
     n_max: int,
     max_elements: int = cayley.DEFAULT_MAX_ELEMENTS,
-    threads: int = 1,
     subgroup_name: str = "",
 ) -> DistortionProfile:
     """delta(n) for n = 1..n_max over the exact radius-n_max ball of G."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    idx = cayley.ball(G, n_max, max_elements=max_elements, threads=threads)
+    idx = cayley.ball(G, n_max, max_elements=max_elements)
     # best (dh, key, vertex) per exact distance; ties resolve to the
     # canonical-least key, so the witness is deterministic.  Keys are taken
     # for subgroup members only, and only rows passing H's filter are decoded.
@@ -274,14 +273,17 @@ def _rel_residual(pred, ys) -> float:
     )
 
 
-def classify_growth(p: DistortionProfile, margin: float = 0.2) -> GrowthVerdict:
+_GROWTH_MARGIN = 0.2  # relative residual lead the winning model needs
+
+
+def classify_growth(p: DistortionProfile) -> GrowthVerdict:
     """Growth classification on the exact entries.
 
     Bounded is structural: the profile is nondecreasing, so it is bounded
     exactly when it stabilizes (constant over the trailing half).  The other
     models (c*n, c*n^2, c*n^3, c*2^(alpha*n)) compete by weighted
-    least-squares relative residual; the winner must beat the runner-up by
-    the margin, else inconclusive.
+    least-squares relative residual; the winner's residual must be at most
+    (1 - _GROWTH_MARGIN) times the runner-up's, else inconclusive.
     """
     pts = [(e.n, e.delta) for e in p.exact_entries]
     if len(pts) < 4:
@@ -319,7 +321,7 @@ def classify_growth(p: DistortionProfile, margin: float = 0.2) -> GrowthVerdict:
     ranked = sorted(residuals.items(), key=lambda kv: kv[1])
     best_name, best_res = ranked[0]
     second_res = ranked[1][1] if len(ranked) > 1 else math.inf
-    wins = best_res < 1e-9 or best_res <= (1.0 - margin) * second_res
+    wins = best_res < 1e-9 or best_res <= (1.0 - _GROWTH_MARGIN) * second_res
     if not wins:
         return GrowthVerdict("inconclusive", residuals=residuals)
     if best_name.startswith("polynomial"):
@@ -333,23 +335,24 @@ class UndistortedVerdict:
     K: Optional[Fraction]
     ratios: list[Fraction]
 
-    def as_tuple(self):
-        return self.verdict, self.K
+
+_STABILITY_FRACTION = 1 / 3  # share of the exact entries in the trailing window
 
 
-def undistorted_check(p: DistortionProfile, stability_fraction: float = 1 / 3) -> UndistortedVerdict:
+def undistorted_check(p: DistortionProfile) -> UndistortedVerdict:
     """Finite-ball diagnostic for the linear-bound criterion.
 
     True iff the ratio delta(n)/n is non-increasing over the trailing
-    stability window (last ceil(n_max * fraction) entries); K is the maximal
-    ratio.  This is a heuristic on a finite ball, never an asymptotic proof.
+    stability window (the last max(2, ceil(entries * _STABILITY_FRACTION))
+    exact entries); K is the maximal ratio.  This is a heuristic on a finite
+    ball, never an asymptotic proof.
     """
     entries = p.exact_entries
     if len(entries) < 4:
         raise TooFewPoints(f"need >= 4 exact entries, got {len(entries)}")
     ratios = [Fraction(e.delta, e.n) for e in entries]
     K = max(ratios)
-    window = max(2, math.ceil(len(entries) * stability_fraction))
+    window = max(2, math.ceil(len(entries) * _STABILITY_FRACTION))
     tail = ratios[-window:]
     stable = all(b <= a for a, b in zip(tail, tail[1:]))
     return UndistortedVerdict(verdict=stable, K=K, ratios=ratios)

@@ -35,10 +35,6 @@ class TooFewPoints(GroupGeoError):
     """Not enough data points for the requested measurement."""
 
 
-class InexactOracle(GroupGeoError):
-    """A subgroup oracle could only provide capped (lower-bound) answers."""
-
-
 class NotNonorientable(GroupGeoError):
     """The operation is only defined for nonorientable surfaces."""
 

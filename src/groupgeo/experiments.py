@@ -1,8 +1,8 @@
 """Named end-to-end experiments over a fixed zoo of exactly-solvable groups.
 
 Each experiment returns an ExperimentReport whose verdict is recomputable
-from its own CSV tables, and whose tables are byte-identical across thread
-counts.  The zoo members all carry proven-exact canonical forms:
+from its own CSV tables, and whose tables are byte-identical from run to
+run.  The zoo members all carry proven-exact canonical forms:
 
 * ``z2``        free abelian of rank 2 (product of two rank-1 free groups)
 * ``free2``     free group of rank 2
@@ -277,7 +277,6 @@ _ORDER_CAP = 12  # covers every finite order in SL(2, Z): 1, 2, 3, 4, 6
 def run_klein_check(
     radius: int,
     max_elements: int = cayley.DEFAULT_MAX_ELEMENTS,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Census of element orders in a ball of SL(2, Z).
 
@@ -290,7 +289,7 @@ def run_klein_check(
         raise ValueError("radius must be >= 2 to reach -I")
     start = time.perf_counter()
     G = get_group("sl2z")
-    idx = cayley.ball(G, radius, max_elements=max_elements, threads=threads)
+    idx = cayley.ball(G, radius, max_elements=max_elements)
     census: dict[Optional[int], int] = {}
     order2_witnesses = []
     for v, g in enumerate(idx.elements):
@@ -430,7 +429,6 @@ def _suite_cases() -> list[dict]:
 
 def run_distortion_suite(
     max_elements: int = cayley.DEFAULT_MAX_ELEMENTS,
-    threads: int = 1,
 ) -> list[ExperimentReport]:
     """Profiles and classifications for the built-in subgroup pairs; errors
     in one run are recorded and the suite continues."""
@@ -442,7 +440,7 @@ def run_distortion_suite(
             G = get_group(case["group"])
             H = case["subgroup"](G)
             profile = distortion.distortion_profile(
-                G, H, case["n_max"], max_elements=max_elements, threads=threads,
+                G, H, case["n_max"], max_elements=max_elements,
                 subgroup_name=case["name"],
             )
             growth = distortion.classify_growth(profile)
@@ -495,7 +493,6 @@ def run_combing_report(
     group_name: str,
     radius: int,
     max_elements: int = cayley.DEFAULT_MAX_ELEMENTS,
-    threads: int = 1,
     seed: int = 0,
 ) -> ExperimentReport:
     """Shortlex bicombing constants for one zoo group.
@@ -507,16 +504,14 @@ def run_combing_report(
     """
     start = time.perf_counter()
     G = get_group(group_name)
-    sigma = combing.shortlex_bicombing(
-        G, radius, max_elements=max_elements, threads=threads
-    )
+    sigma = combing.shortlex_bicombing(G, radius, max_elements=max_elements)
     idx = sigma.index
     # check_bounded's cap depends on |B(r)| alone: test it before any work
     combing.check_dense_cap(len(idx), radius)
     ident = G.model.identity
     sample = [(ident, g) for g in idx.elements]
     qg = combing.check_quasi_geodesic(sigma, sample)
-    bounded = combing.check_bounded(sigma, G, radius, threads=threads)
+    bounded = combing.check_bounded(sigma, G, radius)
     rng = random.Random(seed)
     elements = idx.elements
     # random triples (g, x, y); x is kept whenever x^-1 y stays in the ball,

@@ -73,6 +73,8 @@ from .words import Alphabet, Presentation, Word
 
 Element = Any
 
+DEFAULT_MAX_ELEMENTS = 10_000_000
+
 
 class GroupModel(ABC):
     """A group with exact multiplication, inversion and canonical keys."""
@@ -101,9 +103,6 @@ class GroupModel(ABC):
         enumeration then expands each layer element by element through
         ``right_action``."""
         return None
-
-    def equal(self, x: Element, y: Element) -> bool:
-        return self.canonical_key(x) == self.canonical_key(y)
 
     def power(self, x: Element, n: int) -> Element:
         if n < 0:
@@ -607,7 +606,7 @@ class InjectivityReport:
         return not self.collisions
 
 
-def injectivity_on_ball(h: MarkedHomomorphism, n: int, max_elements: int = 10_000_000) -> InjectivityReport:
+def injectivity_on_ball(h: MarkedHomomorphism, n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> InjectivityReport:
     """Map the source ball of radius ``n`` and report any collision pair.
 
     When the source ball closes up (the group is finite and exhausted), the

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from groupgeo import combing, distortion, experiments, surfaces
+from groupgeo import cli, combing, distortion, experiments, surfaces
 from groupgeo.groups import verify_presentation
 from groupgeo.surfaces import SurfaceSig
 
@@ -182,17 +182,18 @@ def test_criterion_8_complement_arithmetic():
     _verdict(8, "12-case (a)-(d) classification and excess ranks 1 / 3 / 0", ok)
 
 
-def test_criterion_9_thread_determinism():
+def test_criterion_9_thread_determinism(tmp_path):
+    # the library takes no thread count; the promise lives on the CLI flag
     def tables(threads):
-        out = {}
-        out["klein"] = experiments.run_klein_check(5, threads=threads).tables
-        out["combing"] = experiments.run_combing_report(
-            "free2", 5, threads=threads
-        ).tables
-        for r in experiments.run_distortion_suite(threads=threads):
-            out[r.name] = r.tables
-        out["covers"] = experiments.run_cover_table(6).tables
-        return out
+        out = tmp_path / f"threads{threads}"
+        flags = ["--out", str(out), "--threads", str(threads)]
+        assert cli.main(["klein-check", "--radius", "5", *flags]) == 0
+        assert cli.main(["combing-check", "--group", "free2", "--radius", "5", *flags]) == 0
+        assert cli.main(["distortion", *flags]) == 0
+        # cover-table enumerates no ball and has no --threads flag
+        assert cli.main(["cover-table", "--max-complexity", "6", "--out", str(out)]) == 0
+        return {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
 
-    ok = tables(1) == tables(4)
-    _verdict(9, "byte-identical CSV tables with 1 and 4 worker threads", ok)
+    one, four = tables(1), tables(4)
+    ok = len(one) == 8 and one == four
+    _verdict(9, "byte-identical CSV files with --threads 1 and --threads 4", ok)

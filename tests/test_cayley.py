@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupgeo import cayley, combing
+from groupgeo import cayley, cli, combing
 from groupgeo.errors import CapExceeded, MemoryCapExceeded
 from groupgeo.experiments import get_group
 from groupgeo.groups import FreeGroupModel, MarkedGroup, evaluate
@@ -195,18 +195,21 @@ class TestGrowthSeries:
 
 
 class TestDeterminism:
-    def _csv(self, threads):
-        idx = cayley.ball(get_group("sl2z"), 5, threads=threads)
+    def _csv(self):
+        idx = cayley.ball(get_group("sl2z"), 5)
         buf = io.StringIO()
         idx.write_csv(buf)
         return buf.getvalue()
 
-    def test_thread_count_does_not_change_output(self):
-        baseline = self._csv(1)
-        assert baseline == self._csv(2) == self._csv(4)
+    def test_thread_count_does_not_change_output(self, capsys):
+        # --threads is accepted by the CLI and ignored
+        expected = self._csv()
+        for threads in ("1", "2", "4"):
+            assert cli.main(["ball", "--group", "sl2z", "--radius", "5", "--threads", threads]) == 0
+            assert capsys.readouterr().out == expected
 
     def test_repeat_runs_identical(self):
-        assert self._csv(1) == self._csv(1)
+        assert self._csv() == self._csv()
 
 
 ZOO = ("braid3", "bs12", "free2", "heis3", "kleinfour", "sl2z", "z2")
