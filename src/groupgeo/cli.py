@@ -46,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, group=False, radius=False)
 
     p = sub.add_parser("combing-check", help="shortlex bicombing constants for a zoo group")
-    _add_common(p)
+    p.add_argument("--group", required=True, choices=experiments.zoo_names(), help="zoo group name")
+    _add_common(p, group=False)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("centralizer", help="centralizer ball and quasi-convexity constants")
@@ -140,9 +141,7 @@ def _cmd_centralizer(args) -> int:
     G = experiments.resolve_group(args.group)
     a = evaluate(G.alphabet.parse_word(args.element), G)
     sigma = combing.shortlex_bicombing(G, args.radius, max_elements=args.max_elements)
-    members = combing.centralizer_ball(
-        G, a, args.radius, max_elements=args.max_elements, index=sigma.index
-    )
+    members = combing.centralizer_ball(G, a, args.radius, index=sigma.index)
     report = combing.centralizer_quasiconvexity_report(G, a, sigma, args.radius)
     if args.format == "json" and not args.out:
         print(json.dumps(
@@ -198,7 +197,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except (GroupGeoError, OSError, MemoryError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -12,6 +12,11 @@ lines are geodesics.  This module measures, over explicit finite families:
 * quasi-convexity constants k for subgroups, including centralizers, with
   per-vertex conjugator witnesses.
 
+The quasi-geodesic and equivariance checks read any bicombing's lines; the
+other three checks read a ``ShortlexBicombing``'s lines off its ball's prefix
+matrix, enumerate no ball, and raise TypeError for any other bicombing and
+ValueError for a ball of the wrong radius.
+
 Vertex distances for the exhaustive checks are graph distances inside the
 enumerated ball.  They equal the word metric whenever geodesics between ball
 points stay in the ball (trees, abelian groups, exhausted finite groups);
@@ -96,10 +101,7 @@ class ShortlexBicombing(Bicombing):
         index: Optional[cayley.BallIndex] = None,
     ):
         self.cap = cap
-        if index is not None and index.group is G and index.radius >= cap:
-            self.index = index
-        else:
-            self.index = cayley.ball(G, cap, max_elements=max_elements)
+        self.index = _ball_of(G, cap, max_elements, index)
         super().__init__(group=G, rule=self._rule, distance_fn=self._distance)
 
     def _lookup(self, u: Element) -> int:
@@ -124,6 +126,24 @@ class ShortlexBicombing(Bicombing):
         model = self.group.model
         u = model.multiply(model.invert(g), h)
         return int(self.index.depth[self._lookup(u)])
+
+
+def _ball_of(G: MarkedGroup, n: int, max_elements: int, index: Optional[cayley.BallIndex]):
+    """index if it is a ball of G with radius >= n, else ball(G, n)."""
+    if index is not None and index.group is G and index.radius >= n:
+        return index
+    return cayley.ball(G, n, max_elements=max_elements)
+
+
+def _shortlex_ball(check: str, sigma: Bicombing, radius: int, at_least: bool = False):
+    """sigma's ball, whose radius is radius (at least radius if at_least)."""
+    if not isinstance(sigma, ShortlexBicombing):
+        raise TypeError(f"{check} reads a ShortlexBicombing's ball, not a {type(sigma).__name__}")
+    r = sigma.index.radius
+    if r < radius or (r > radius and not at_least):
+        want = f">= {radius}" if at_least else radius
+        raise ValueError(f"{check} needs a ball of radius {want}, not {r}")
+    return sigma.index
 
 
 def shortlex_bicombing(
@@ -268,10 +288,7 @@ def check_dense_cap(n: int, radius: int) -> None:
 
 
 def check_bounded(
-    sigma: Bicombing,
-    G: MarkedGroup,
-    radius: int,
-    max_elements: int = cayley.DEFAULT_MAX_ELEMENTS,
+    sigma: ShortlexBicombing, G: MarkedGroup, radius: int
 ) -> ConstantsReport:
     """Least k2 with k1 = 1 for d(p(t), q(t)) <= k1*max{d(x,x'), d(y,y')} + k2.
 
@@ -279,12 +296,11 @@ def check_bounded(
     equivariance, every pair of lines sigma(x,y), sigma(x,y') with both far
     endpoints at distance <= radius translates to lines from the identity, so
     quantifying over all ordered pairs of ball elements is exhaustive for
-    that family.
+    that family: the prefix-matrix rows of sigma's ball of this radius.
+    Raises TypeError and ValueError as the module docstring says, and
+    MemoryCapExceeded past the dense distance-matrix cap.
     """
-    if isinstance(sigma, ShortlexBicombing) and sigma.index.radius == radius:
-        idx = sigma.index
-    else:
-        idx = cayley.ball(G, radius, max_elements=max_elements)
+    idx = _shortlex_ball("check_bounded", sigma, radius)
     n = len(idx)
     check_dense_cap(n, radius)
     indptr, nbrs = idx.graph_csr()
@@ -336,17 +352,13 @@ def _quasiconvexity_over_members(
 
 
 def quasiconvexity_constant(
-    sigma: Bicombing,
-    H: SubgroupModel,
-    radius: int,
-    max_elements: int = cayley.DEFAULT_MAX_ELEMENTS,
+    sigma: ShortlexBicombing, H: SubgroupModel, radius: int
 ) -> ConstantsReport:
-    """sigma-quasi-convexity constant of H over its members in ball(radius)."""
+    """sigma-quasi-convexity constant of H over its members in ball(radius),
+    read off sigma's ball of this radius; raises TypeError and ValueError as
+    the module docstring says."""
     G = sigma.group
-    if isinstance(sigma, ShortlexBicombing) and sigma.index.radius == radius:
-        idx = sigma.index
-    else:
-        idx = cayley.ball(G, radius, max_elements=max_elements)
+    idx = _shortlex_ball("quasiconvexity_constant", sigma, radius)
     vertices, elements = idx.select(H.row_filter)
     members = [v for v, g in zip(vertices, elements) if H.contains(g)]
     return _quasiconvexity_over_members(G, idx, members, radius)
@@ -373,9 +385,7 @@ def centralizer_ball(
     index: Optional[cayley.BallIndex] = None,
 ) -> list[Element]:
     """{g in ball(n) : g a g^-1 = a}, in shortlex order."""
-    idx = index if index is not None and index.radius >= n else cayley.ball(
-        G, n, max_elements=max_elements
-    )
+    idx = _ball_of(G, n, max_elements, index)
     return [idx.elements[v] for v in _conjugators_in_ball(G, idx, a, a, n)]
 
 
@@ -389,32 +399,26 @@ def conjugator_search(
 ) -> Optional[Word]:
     """Shortlex-least word psi with psi gamma psi^-1 = a and |psi| <= cap,
     or None when no conjugator exists within the cap."""
-    idx = index if index is not None and index.radius >= cap else cayley.ball(
-        G, cap, max_elements=max_elements
-    )
+    idx = _ball_of(G, cap, max_elements, index)
     v = next(_conjugators_in_ball(G, idx, a, gamma, cap), None)
     return None if v is None else idx.vertex_word(v)
 
 
 def centralizer_quasiconvexity_report(
-    G: MarkedGroup,
-    a: Element,
-    sigma: Bicombing,
-    radius: int,
-    max_elements: int = cayley.DEFAULT_MAX_ELEMENTS,
+    G: MarkedGroup, a: Element, sigma: ShortlexBicombing, radius: int
 ) -> ConstantsReport:
     """Quasi-convexity constant of the centralizer Z(a) over ball(radius),
     plus, for every vertex v on a combing line of a member, the conjugate
     gamma = v^-1 a v and its shortlex-least conjugator psi back to a.
 
-    Since v gamma v^-1 = a, v itself is a conjugator of length |v| <= |member|,
-    so the per-vertex searches never miss; a miss raises CapExceeded.
+    Members and k are read off sigma's ball, whose radius must be >= radius,
+    and the witnesses' vertices off sigma.line; raises TypeError and
+    ValueError as the module docstring says.  Since v gamma v^-1 = a, v
+    itself is a conjugator of length |v| <= |member|, so the per-vertex
+    searches never miss; a miss raises CapExceeded.
     """
     model = G.model
-    if isinstance(sigma, ShortlexBicombing) and sigma.index.radius >= radius:
-        idx = sigma.index
-    else:
-        idx = cayley.ball(G, radius, max_elements=max_elements)
+    idx = _shortlex_ball("centralizer_quasiconvexity_report", sigma, radius, at_least=True)
     members = list(_conjugators_in_ball(G, idx, a, a, radius))
     report = _quasiconvexity_over_members(G, idx, members, radius)
     fmt = G.alphabet.format_word

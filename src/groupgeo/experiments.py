@@ -224,7 +224,12 @@ def resolve_group(spec: str) -> MarkedGroup:
     """A zoo name, or a path to a JSON group config."""
     if spec in _ZOO:
         return _ZOO[spec]()
-    with open(spec, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(spec, "r", encoding="utf-8")
+    except FileNotFoundError:
+        raise KeyError(f"unknown group {spec!r}: not a zoo name "
+                       f"({', '.join(zoo_names())}) and no such file") from None
+    with fh:
         return group_from_config(json.load(fh))
 
 

@@ -275,6 +275,120 @@ class TestCentralizers:
             evaluate(G.alphabet.parse_word(row["psi"]), G)
 
 
+def _reversed_lines(G, radius):
+    """A bicombing of z2 that walks each shortlex word backwards: its line
+    from 1 to x y is 1, y, x y, where the shortlex line is 1, x, x y."""
+    inner = combing.shortlex_bicombing(G, radius)
+    m = G.model
+    letter_key, actions = G.alphabet.letter_key, G.letter_actions
+
+    def rule(x, y):
+        u = m.multiply(m.invert(x), y)
+        vertices = [x]
+        for letter in list(inner.index.vertex_word(inner._lookup(u)))[::-1]:
+            vertices.append(actions[letter_key(letter)](vertices[-1]))
+        return combing.DiscretePath(tuple(vertices))
+
+    return combing.Bicombing(group=G, rule=rule, distance_fn=inner._distance)
+
+
+def _ball_reading_checks(G):
+    """check_bounded, quasiconvexity_constant and the centralizer report as
+    functions of (sigma, radius)."""
+    x = _elt(G, "x")
+    H = distortion.DirectFactor(G, 0, len)
+    return {
+        "check_bounded": lambda sigma, r: combing.check_bounded(sigma, G, r),
+        "quasiconvexity_constant": lambda sigma, r: combing.quasiconvexity_constant(
+            sigma, H, r),
+        "centralizer_quasiconvexity_report": lambda sigma, r: (
+            combing.centralizer_quasiconvexity_report(G, x, sigma, r)),
+    }
+
+
+CHECKS = ("check_bounded", "quasiconvexity_constant", "centralizer_quasiconvexity_report")
+
+
+class TestBallReadingChecks:
+    def test_reversed_lines_differ_from_shortlex(self):
+        G = get_group("z2")
+        line = _reversed_lines(G, 4).line(G.model.identity, _elt(G, "x y"))
+        want = [G.model.canonical_key(_elt(G, w)) for w in ("1", "y", "x y")]
+        assert [G.model.canonical_key(v) for v in line.vertices] == want
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_other_bicombing_is_a_type_error(self, check):
+        G = get_group("z2")
+        with pytest.raises(TypeError,
+                           match=f"{check} reads a ShortlexBicombing's ball, not a Bicombing"):
+            _ball_reading_checks(G)[check](_reversed_lines(G, 4), 4)
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_smaller_ball_is_a_value_error(self, check):
+        G = get_group("z2")
+        with pytest.raises(ValueError, match=f"{check} needs a ball of radius "
+                                             r"(>= )?4, not 3"):
+            _ball_reading_checks(G)[check](combing.shortlex_bicombing(G, 3), 4)
+
+    @pytest.mark.parametrize("check", ["check_bounded", "quasiconvexity_constant"])
+    def test_larger_ball_is_a_value_error(self, check):
+        G = get_group("z2")
+        with pytest.raises(ValueError, match=f"{check} needs a ball of radius 4, not 5"):
+            _ball_reading_checks(G)[check](combing.shortlex_bicombing(G, 5), 4)
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_no_check_enumerates(self, check, monkeypatch):
+        G = get_group("z2")
+        sigma = combing.shortlex_bicombing(G, 4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated a ball")
+
+        monkeypatch.setattr(cayley, "ball", refuse)
+        assert _ball_reading_checks(G)[check](sigma, 4).radius == 4
+
+
+class TestIndexReuse:
+    def test_centralizer_ball_ignores_another_groups_ball(self):
+        G = get_group("free2")
+        x = _elt(G, "x")
+        got = combing.centralizer_ball(G, x, 2, index=cayley.ball(get_group("z2"), 3))
+        want = combing.centralizer_ball(G, x, 2)
+        assert [G.model.canonical_key(g) for g in got] == [
+            G.model.canonical_key(g) for g in want
+        ]
+
+    def test_conjugator_search_ignores_another_groups_ball(self):
+        G = get_group("sl2z")
+        a = _elt(G, "a")
+        got = combing.conjugator_search(G, a, a, 3, index=cayley.ball(get_group("heis3"), 3))
+        assert got == combing.conjugator_search(G, a, a, 3)
+
+    def test_bicombing_ignores_another_groups_ball(self):
+        G = get_group("free2")
+        other = cayley.ball(get_group("z2"), 3)
+        assert combing.shortlex_bicombing(G, 2, index=other).index.group is G
+
+    def test_smaller_ball_is_not_reused(self):
+        G = get_group("free2")
+        small = cayley.ball(G, 2)
+        x = _elt(G, "x")
+        assert len(combing.centralizer_ball(G, x, 3, index=small)) == 7
+        assert combing.shortlex_bicombing(G, 3, index=small).index.radius == 3
+
+    def test_ball_of_the_group_is_reused(self, monkeypatch):
+        G = get_group("free2")
+        idx = cayley.ball(G, 4)
+        x = _elt(G, "x")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated a ball")
+
+        monkeypatch.setattr(cayley, "ball", refuse)
+        assert len(combing.centralizer_ball(G, x, 3, index=idx)) == 7
+        assert len(combing.conjugator_search(G, x, _elt(G, "y x y^-1"), 3, index=idx)) == 1
+
+
 def _reference_multi_source_distances(indptr, nbrs, n, sources):
     """Queue BFS over the CSR graph, one vertex at a time."""
     dist = np.full(n, -1, dtype=np.int64)

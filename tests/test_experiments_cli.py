@@ -293,6 +293,36 @@ class TestCli:
         assert cli.main(["ball", "--group", "nope", "--radius", "2"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_group_names_both_readings(self, capsys):
+        assert cli.main(["ball", "--group", "nope", "--radius", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown group 'nope': not a zoo name (braid3, bs12, free2, "
+            "heis3, kleinfour, sl2z, z2) and no such file\n"
+        )
+
+    def test_library_key_error_prints_unquoted(self, monkeypatch, capsys):
+        def unknown(*args, **kwargs):
+            raise KeyError("unknown group 'nope'; known: z2")
+
+        monkeypatch.setattr(experiments, "run_combing_report", unknown)
+        assert cli.main(["combing-check", "--group", "z2", "--radius", "2"]) == 2
+        assert capsys.readouterr().err == "error: unknown group 'nope'; known: z2\n"
+
+    @pytest.mark.parametrize("group", ["nope", "line.json"])
+    def test_combing_check_takes_zoo_names_only(self, group, tmp_path, monkeypatch, capsys):
+        # a config that ball accepts is still not a zoo name
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "line.json").write_text(json.dumps(
+            {"kind": "free", "alphabet": ["t"]}
+        ))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["combing-check", "--group", group, "--radius", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --group: invalid choice: '{group}'" in err
+        assert "'braid3', 'bs12', 'free2', 'heis3', 'kleinfour', 'sl2z', 'z2'" in err
+        assert cli.main(["ball", "--group", "line.json", "--radius", "2"]) == 0
+
     def test_missing_lift_file_is_exit_two(self, capsys):
         assert cli.main(["verify-hom", "--lift", "/does/not/exist.json"]) == 2
         capsys.readouterr()

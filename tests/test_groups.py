@@ -353,7 +353,7 @@ class TestLetterActions:
         _assert_actions_match(get_group(name), picks)
 
     @pytest.mark.parametrize("name, multiplies", [
-        ("heis3", 0), ("free2", 0), ("z2", 0), ("sl2z", 4), ("bs12", 4),
+        ("heis3", 4), ("free2", 0), ("z2", 0), ("sl2z", 4), ("bs12", 4),
     ])
     def test_which_letters_fall_back_to_multiply(self, name, multiplies):
         G = get_group(name)
