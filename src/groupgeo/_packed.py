@@ -10,9 +10,10 @@ its input, that no result and no intermediate overflows int64; when the
 proof fails it returns None and the caller continues on Python integers.
 So no wrapped integer is ever returned.
 
-numpy is imported here, not by ``groups``: a model builds its batch action
-on the first ball enumeration, so importing the package and building a
-marked group cost nothing more.
+``groups`` imports this module only when a model builds its batch action,
+on the first ball enumeration.  numpy is loaded with the package anyway (by
+the kernel fallback), so what the deferral saves is compiling this module
+in runs that build no packed ball, such as balls of free groups and of Z^2.
 """
 
 from __future__ import annotations

@@ -68,9 +68,10 @@ from typing import IO, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .errors import CapExceeded, MemoryCapExceeded
-from .groups import DEFAULT_MAX_ELEMENTS, Element, MarkedGroup
+from .groups import Element, MarkedGroup
 from .words import Word
 
+DEFAULT_MAX_ELEMENTS = 10_000_000
 _UNKNOWN = -2  # a neighbour-table slot whose product is not computed yet
 
 
@@ -486,50 +487,32 @@ def ball(
     return BallIndex(G, len(sphere_sizes) - 1, sphere_sizes, layers, found)
 
 
-def word_length_of(
-    g: Element,
-    G: MarkedGroup,
-    cap: int,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> Optional[int]:
-    """Exact word length of g if <= cap, else None."""
+def word_length_of(g: Element, G: MarkedGroup, cap: int) -> Optional[int]:
+    """Exact word length of g if <= cap, else None.  The search enumerates
+    layers until it meets g, under ``ball``'s default element cap."""
     if G.norm_oracle is not None:
         norm = G.norm_oracle(g)
         return norm if norm <= cap else None
-    idx = ball(G, cap, max_elements=max_elements, _stop_key=G.model.canonical_key(g))
+    idx = ball(G, cap, _stop_key=G.model.canonical_key(g))
     v = idx.stop_vertex
     return None if v is None else int(idx.depth[v])
 
 
-def distance(
-    g: Element,
-    h: Element,
-    G: MarkedGroup,
-    cap: int,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> Optional[int]:
+def distance(g: Element, h: Element, G: MarkedGroup, cap: int) -> Optional[int]:
     """d(g, h) = ||g^-1 h||, exact up to the cap."""
     rel = G.model.multiply(G.model.invert(g), h)
-    return word_length_of(rel, G, cap, max_elements)
+    return word_length_of(rel, G, cap)
 
 
-def geodesic_shortlex(
-    g: Element,
-    G: MarkedGroup,
-    cap: int,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> Word:
+def geodesic_shortlex(g: Element, G: MarkedGroup, cap: int) -> Word:
     """The shortlex-least geodesic word evaluating to g."""
-    idx = ball(G, cap, max_elements=max_elements, _stop_key=G.model.canonical_key(g))
+    idx = ball(G, cap, _stop_key=G.model.canonical_key(g))
     if idx.stop_vertex is None:
         raise CapExceeded(f"element not found within radius {cap}")
     return idx.vertex_word(idx.stop_vertex)
 
 
-def growth_series(
-    G: MarkedGroup,
-    n: int,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> list[int]:
-    """Sphere sizes for radii 0..n."""
-    return ball(G, n, max_elements=max_elements).sphere_sizes
+def growth_series(G: MarkedGroup, n: int) -> list[int]:
+    """Sphere sizes for radii 0..n (``ball(G, n).sphere_sizes``; a caller that
+    needs a cap reads them off ``ball(G, n, max_elements=m)``)."""
+    return ball(G, n).sphere_sizes

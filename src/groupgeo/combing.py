@@ -17,6 +17,12 @@ other three checks read a ``ShortlexBicombing``'s lines off its ball's prefix
 matrix, enumerate no ball, and raise TypeError for any other bicombing and
 ValueError for a ball of the wrong radius.
 
+Where a ball comes from: the shortlex bicombing, ``centralizer_ball`` and
+``conjugator_search`` reuse the ``index`` they are given when it is a ball
+of G of at least the radius they need, and otherwise enumerate
+``cayley.ball(G, n)``.  The element cap is set where the ball is built, so a
+caller that wants one passes ``index=cayley.ball(G, n, max_elements=m)``.
+
 Vertex distances for the exhaustive checks are graph distances inside the
 enumerated ball.  They equal the word metric whenever geodesics between ball
 points stay in the ball (trees, abelian groups, exhausted finite groups);
@@ -91,17 +97,12 @@ class Bicombing:
 
 
 class ShortlexBicombing(Bicombing):
-    """sigma(x, y) = x * (shortlex geodesic path of x^-1 y), from one ball."""
+    """sigma(x, y) = x * (shortlex geodesic path of x^-1 y), from one ball:
+    ``index`` or ``ball(G, cap)`` (see the module docstring)."""
 
-    def __init__(
-        self,
-        G: MarkedGroup,
-        cap: int,
-        max_elements: int = cayley.DEFAULT_MAX_ELEMENTS,
-        index: Optional[cayley.BallIndex] = None,
-    ):
+    def __init__(self, G: MarkedGroup, cap: int, index: Optional[cayley.BallIndex] = None):
         self.cap = cap
-        self.index = _ball_of(G, cap, max_elements, index)
+        self.index = _ball_of(G, cap, index)
         super().__init__(group=G, rule=self._rule, distance_fn=self._distance)
 
     def _lookup(self, u: Element) -> int:
@@ -128,11 +129,11 @@ class ShortlexBicombing(Bicombing):
         return int(self.index.depth[self._lookup(u)])
 
 
-def _ball_of(G: MarkedGroup, n: int, max_elements: int, index: Optional[cayley.BallIndex]):
+def _ball_of(G: MarkedGroup, n: int, index: Optional[cayley.BallIndex]):
     """index if it is a ball of G with radius >= n, else ball(G, n)."""
     if index is not None and index.group is G and index.radius >= n:
         return index
-    return cayley.ball(G, n, max_elements=max_elements)
+    return cayley.ball(G, n)
 
 
 def _shortlex_ball(check: str, sigma: Bicombing, radius: int, at_least: bool = False):
@@ -147,13 +148,11 @@ def _shortlex_ball(check: str, sigma: Bicombing, radius: int, at_least: bool = F
 
 
 def shortlex_bicombing(
-    G: MarkedGroup,
-    cap: int,
-    max_elements: int = cayley.DEFAULT_MAX_ELEMENTS,
-    index: Optional[cayley.BallIndex] = None,
+    G: MarkedGroup, cap: int, index: Optional[cayley.BallIndex] = None
 ) -> ShortlexBicombing:
-    """The shortlex bicombing of (G, X), valid for pairs within the cap."""
-    return ShortlexBicombing(G, cap, max_elements=max_elements, index=index)
+    """The shortlex bicombing of (G, X), valid for pairs within the cap;
+    ``index`` as for ``ShortlexBicombing``."""
+    return ShortlexBicombing(G, cap, index=index)
 
 
 @dataclass
@@ -170,6 +169,8 @@ class ConstantsReport:
     family: str = ""
     distance_mode: str = "word_metric"
     witnesses: dict = field(default_factory=dict)
+    # the members' ball vertices, for a caller that lists them; not serialized
+    member_vertices: list[int] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         def enc(v):
@@ -378,14 +379,11 @@ def _conjugators_in_ball(
 
 
 def centralizer_ball(
-    G: MarkedGroup,
-    a: Element,
-    n: int,
-    max_elements: int = cayley.DEFAULT_MAX_ELEMENTS,
-    index: Optional[cayley.BallIndex] = None,
+    G: MarkedGroup, a: Element, n: int, index: Optional[cayley.BallIndex] = None
 ) -> list[Element]:
-    """{g in ball(n) : g a g^-1 = a}, in shortlex order."""
-    idx = _ball_of(G, n, max_elements, index)
+    """{g in ball(n) : g a g^-1 = a}, in shortlex order, scanned on
+    ``index`` or ``ball(G, n)`` (see the module docstring)."""
+    idx = _ball_of(G, n, index)
     return [idx.elements[v] for v in _conjugators_in_ball(G, idx, a, a, n)]
 
 
@@ -394,12 +392,12 @@ def conjugator_search(
     a: Element,
     gamma: Element,
     cap: int,
-    max_elements: int = cayley.DEFAULT_MAX_ELEMENTS,
     index: Optional[cayley.BallIndex] = None,
 ) -> Optional[Word]:
     """Shortlex-least word psi with psi gamma psi^-1 = a and |psi| <= cap,
-    or None when no conjugator exists within the cap."""
-    idx = _ball_of(G, cap, max_elements, index)
+    or None when no conjugator exists within the cap; searched on ``index``
+    or ``ball(G, cap)`` (see the module docstring)."""
+    idx = _ball_of(G, cap, index)
     v = next(_conjugators_in_ball(G, idx, a, gamma, cap), None)
     return None if v is None else idx.vertex_word(v)
 
@@ -413,7 +411,8 @@ def centralizer_quasiconvexity_report(
 
     Members and k are read off sigma's ball, whose radius must be >= radius,
     and the witnesses' vertices off sigma.line; raises TypeError and
-    ValueError as the module docstring says.  Since v gamma v^-1 = a, v
+    ValueError as the module docstring says.  The members' vertices are kept
+    on ``member_vertices``.  Since v gamma v^-1 = a, v
     itself is a conjugator of length |v| <= |member|, so the per-vertex
     searches never miss; a miss raises CapExceeded.
     """
@@ -445,6 +444,7 @@ def centralizer_quasiconvexity_report(
                 }
             )
     report.family = "centralizer"
+    report.member_vertices = members
     report.witnesses["conjugators"] = conjugators
     report.witnesses["psi_max_length"] = psi_max
     return report

@@ -99,13 +99,13 @@ class DirectFactor(SubgroupModel):
 
 
 class HomImage(SubgroupModel):
-    """Image of a verified marked homomorphism; d_H by BFS in the source."""
+    """Image of a verified marked homomorphism; d_H by BFS in the source,
+    over ``cayley.ball(source, source_radius)``."""
 
-    def __init__(self, hom: MarkedHomomorphism, source_radius: int,
-                 max_elements: int = cayley.DEFAULT_MAX_ELEMENTS):
+    def __init__(self, hom: MarkedHomomorphism, source_radius: int):
         self.ambient = hom.target
         self.hom = hom
-        idx = cayley.ball(hom.source, source_radius, max_elements=max_elements)
+        idx = cayley.ball(hom.source, source_radius)
         self._lengths: dict[bytes, int] = {}
         tmodel = hom.target.model
         for v, d in enumerate(idx.depth.tolist()):
@@ -129,15 +129,14 @@ class HomImage(SubgroupModel):
 
 class EnumeratedWithCap(SubgroupModel):
     """Subgroup listed by its Cayley ball over given subgroup generators, up
-    to a cap radius.
+    to a cap radius (``cayley.ball`` of the subgroup's marking).
 
     Membership and lengths are exact inside the enumerated ball; outside it
     answers are capped, so profiles built on this oracle are lower bounds
     unless the subgroup was exhausted.
     """
 
-    def __init__(self, ambient: MarkedGroup, sub_generators: Sequence[Element],
-                 cap_radius: int, max_elements: int = cayley.DEFAULT_MAX_ELEMENTS):
+    def __init__(self, ambient: MarkedGroup, sub_generators: Sequence[Element], cap_radius: int):
         self.ambient = ambient
         gens = tuple(sub_generators)
         H = MarkedGroup(
@@ -145,7 +144,7 @@ class EnumeratedWithCap(SubgroupModel):
             alphabet=Alphabet(f"h{i}" for i in range(len(gens))),
             marking=gens,
         )
-        idx = cayley.ball(H, cap_radius, max_elements=max_elements)
+        idx = cayley.ball(H, cap_radius)
         self._index = idx.index
         self._depth = idx.depth.tolist()
         self._exhausted = idx.sphere_sizes[-1] == 0

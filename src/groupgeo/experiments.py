@@ -148,6 +148,12 @@ def get_group(name: str) -> MarkedGroup:
 # JSON group configs (user-supplied groups)
 # --------------------------------------------------------------------------
 
+def _required(config: dict, key: str):
+    if key not in config:
+        raise KeyError(f"missing field {key!r}")
+    return config[key]
+
+
 def group_from_config(config: dict) -> MarkedGroup:
     """Build a MarkedGroup from a JSON config.
 
@@ -159,21 +165,27 @@ def group_from_config(config: dict) -> MarkedGroup:
     braids (marking entries are Artin generator indices), ``factors`` for
     products (sub-configs; their alphabets concatenate and the marking is
     implicit).  ``marking`` may be omitted for free groups and braids, where
-    the standard generators are used.
+    the standard generators are used.  A missing field or a generator with
+    no marking raises KeyError naming it.
     """
-    kind = config["kind"]
+    kind = _required(config, "kind")
     name = config.get("name")
     names = tuple(config.get("alphabet", ()))
     marking_data: dict = config.get("marking", {})
 
     def marked(fn):
+        for n in names:
+            if n not in marking_data:
+                raise KeyError(f"generator {n!r} has no marking")
         return tuple(fn(marking_data[n]) for n in names)
 
     if kind == "table":
-        model = TableGroup(config["names"], config["table"], config.get("identity", 0))
+        model = TableGroup(
+            _required(config, "names"), _required(config, "table"), config.get("identity", 0)
+        )
         marking = marked(model.index_of)
     elif kind == "matrix":
-        model = IntegerMatrixGroup(config["dim"])
+        model = IntegerMatrixGroup(_required(config, "dim"))
         marking = marked(lambda rows: model.element([[int(v) for v in r] for r in rows]))
     elif kind == "dyadic_affine":
         model = DyadicAffineGroup()
@@ -182,7 +194,7 @@ def group_from_config(config: dict) -> MarkedGroup:
         model = FreeGroupModel(len(names))
         marking = tuple(model.generator(i) for i in range(len(names)))
     elif kind == "braid":
-        model = BraidGroup(config["strands"])
+        model = BraidGroup(_required(config, "strands"))
         if not names:
             names = tuple(f"s{i + 1}" for i in range(config["strands"] - 1))
         if marking_data:
@@ -190,7 +202,7 @@ def group_from_config(config: dict) -> MarkedGroup:
         else:
             marking = tuple(model.generator(i) for i in range(len(names)))
     elif kind == "product":
-        factors = [group_from_config(c) for c in config["factors"]]
+        factors = [group_from_config(c) for c in _required(config, "factors")]
         model = DirectProduct(tuple(f.model for f in factors))
         parts = []
         marking_list = []
@@ -212,7 +224,7 @@ def group_from_config(config: dict) -> MarkedGroup:
     if "presentation" in config:
         presentation = Presentation(
             alphabet,
-            tuple(alphabet.parse_word(r) for r in config["presentation"]["relators"]),
+            tuple(alphabet.parse_word(r) for r in _required(config["presentation"], "relators")),
         )
     return MarkedGroup(
         model=model, alphabet=alphabet, marking=marking,
@@ -221,7 +233,8 @@ def group_from_config(config: dict) -> MarkedGroup:
 
 
 def resolve_group(spec: str) -> MarkedGroup:
-    """A zoo name, or a path to a JSON group config."""
+    """A zoo name, or a path to a JSON group config; a KeyError from the
+    config names the file."""
     if spec in _ZOO:
         return _ZOO[spec]()
     try:
@@ -230,7 +243,11 @@ def resolve_group(spec: str) -> MarkedGroup:
         raise KeyError(f"unknown group {spec!r}: not a zoo name "
                        f"({', '.join(zoo_names())}) and no such file") from None
     with fh:
-        return group_from_config(json.load(fh))
+        config = json.load(fh)
+    try:
+        return group_from_config(config)
+    except KeyError as exc:
+        raise KeyError(f"group config {spec}: {exc.args[0]}") from None
 
 
 # --------------------------------------------------------------------------
@@ -509,7 +526,9 @@ def run_combing_report(
     """
     start = time.perf_counter()
     G = get_group(group_name)
-    sigma = combing.shortlex_bicombing(G, radius, max_elements=max_elements)
+    sigma = combing.shortlex_bicombing(
+        G, radius, index=cayley.ball(G, radius, max_elements=max_elements)
+    )
     idx = sigma.index
     # check_bounded's cap depends on |B(r)| alone: test it before any work
     combing.check_dense_cap(len(idx), radius)

@@ -73,8 +73,6 @@ from .words import Alphabet, Presentation, Word
 
 Element = Any
 
-DEFAULT_MAX_ELEMENTS = 10_000_000
-
 
 class GroupModel(ABC):
     """A group with exact multiplication, inversion and canonical keys."""
@@ -591,8 +589,9 @@ class InjectivityReport:
         return not self.collisions
 
 
-def injectivity_on_ball(h: MarkedHomomorphism, n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> InjectivityReport:
-    """Map the source ball of radius ``n`` and report any collision pair.
+def injectivity_on_ball(h: MarkedHomomorphism, n: int) -> InjectivityReport:
+    """Map the source ball of radius ``n`` (enumerated by ``cayley.ball``
+    under its default element cap) and report any collision pair.
 
     When the source ball closes up (the group is finite and exhausted), the
     verdict is an exact injectivity verdict, flagged ``exhaustive``.
@@ -601,7 +600,7 @@ def injectivity_on_ball(h: MarkedHomomorphism, n: int, max_elements: int = DEFAU
 
     # one layer beyond n so a group that closes up exactly at radius n is
     # still recognized as exhausted
-    idx = ball(h.source, n + 1, max_elements=max_elements)
+    idx = ball(h.source, n + 1)
     seen: dict[bytes, int] = {}
     collisions = []
     for v in range(sum(idx.sphere_sizes[: n + 1])):

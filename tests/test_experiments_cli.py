@@ -331,8 +331,57 @@ class TestCli:
         assert cli.main(["ball", "--group", "free2", "--radius", "-3"]) == 2
         capsys.readouterr()
 
-    def test_element_cap_is_exit_two(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["ball", "--group", "free2", "--radius", "6"],
+        ["distortion"],
+        ["combing-check", "--group", "free2", "--radius", "4"],
+        ["centralizer", "--group", "free2", "--radius", "4", "--element", "x"],
+        ["klein-check", "--radius", "6"],
+    ], ids=lambda argv: argv[0])
+    def test_element_cap_is_exit_two(self, argv, capsys):
+        assert cli.main([*argv, "--max-elements", "10"]) == 2
+        assert "ball enumeration exceeded 10 elements" in capsys.readouterr().err
+
+    def test_distortion_names_each_case_the_cap_stopped(self, capsys):
+        assert cli.main(["distortion", "--max-elements", "10"]) == 2
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [
+            f"error: {case['name']}: ball enumeration exceeded 10 elements at radius 2"
+            for case in experiments._suite_cases()
+        ]
+        # stdout still carries every case's report
+        assert out.count("observed=error:MemoryCapExceeded") == len(err.splitlines())
+
+    def test_centralizer_scans_the_ball_once(self, monkeypatch, capsys):
+        # a member scan runs to the end; a conjugator search stops at its
+        # first conjugator, which always exists
+        scan = combing._conjugators_in_ball
+        full_scans = []
+
+        def counted(*args):
+            yield from scan(*args)
+            full_scans.append(args)
+
+        monkeypatch.setattr(combing, "_conjugators_in_ball", counted)
         assert cli.main(
-            ["ball", "--group", "free2", "--radius", "6", "--max-elements", "10"]
-        ) == 2
-        capsys.readouterr()
+            ["centralizer", "--group", "free2", "--radius", "4", "--element", "x y"]
+        ) == 0
+        assert len(full_scans) == 1
+        # the members are the powers of x y in B(4)
+        assert capsys.readouterr().out == (
+            "member\n()\n(0, 2)\n(3, 1)\n(0, 2, 0, 2)\n(3, 1, 3, 1)\nk,1\n"
+        )
+
+    @pytest.mark.parametrize("config, message", [
+        ({"alphabet": ["t"]}, "missing field 'kind'"),
+        ({"kind": "product", "factors": [{"kind": "free", "alphabet": ["x"]}, {"alphabet": ["y"]}]},
+         "missing field 'kind'"),
+        ({"kind": "table", "alphabet": ["a"], "table": [[0]]}, "missing field 'names'"),
+        ({"kind": "matrix", "dim": 2, "alphabet": ["a"], "marking": {}},
+         "generator 'a' has no marking"),
+    ], ids=["kind", "factor-kind", "names", "marking"])
+    def test_config_error_names_file_and_field(self, config, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert cli.main(["ball", "--group", "cfg.json", "--radius", "2"]) == 2
+        assert capsys.readouterr().err == f"error: group config cfg.json: {message}\n"

@@ -1,7 +1,8 @@
 """Byte-identity of the library's printed outputs.
 
 Each case renders one output (a ball CSV, a combing report's constants
-table and k2 witness, a distortion profile CSV, the klein-check tables) and
+table and k2 witness, a distortion profile CSV, the klein-check tables,
+the ``centralizer`` command's stdout) and
 compares its sha256 digest with a pinned value.  A change that is meant to
 leave every output as it was, such as a faster product or a new
 enumeration loop, must keep these digests.  A change that alters an output
@@ -11,6 +12,7 @@ The combing digests are checked once more on the numpy fallback kernel.
 Print the current digests with ``PYTHONPATH=src python tests/test_golden_outputs.py``.
 """
 
+import contextlib
 import hashlib
 import io
 import json
@@ -22,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import groupgeo
-from groupgeo import cayley, distortion, experiments
+from groupgeo import cayley, cli, distortion, experiments
 
 BALL_RADIUS = 5
 # acceptance criterion 5's combing radii
@@ -32,6 +34,11 @@ COMBING_RADII = {
 }
 PROFILE_N_MAX = 12
 KLEIN_RADIUS = 8
+# the centralizer command's arguments: free2 as CSV, heis3 as JSON
+CENTRALIZER_ARGS = {
+    "free2": ["--radius", "8", "--element", "x y"],
+    "heis3": ["--radius", "5", "--element", "a b a^-1 b^-1", "--format", "json"],
+}
 
 GOLDEN = {
     "ball:braid3": "7d6b1ffd6936d94f32a860718d2ce2fc7ea9fcc828b4df3361ad6996bea45ed4",
@@ -51,6 +58,8 @@ GOLDEN = {
     "profile:center-in-heis3": "b92bf4d281fd0506d81b9c857d915affbdf7761720528828d83f86d51da09fa7",
     "profile:a-in-bs12": "c756f14218f1f3f4e32cc69c7e39f59751fbd3246d50145bbf27e772c7087d1c",
     "klein-check": "0be837c4abd9ff35d559a71bd0376caced07055741acbdbcb0efc3c616b39e53",
+    "centralizer:free2": "988d362ca7cb8fcc040ad903627f62a582552eb32afab95bf18e7a3a8e91cfa3",
+    "centralizer:heis3": "d8384278f89241d68b7079c57f0e7f59c02f3febe0f4e8454bec71abf95b7341",
 }
 
 
@@ -85,6 +94,13 @@ def _klein_text() -> str:
     return json.dumps(report.tables, sort_keys=True)
 
 
+def _centralizer_text(group: str) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["centralizer", "--group", group, *CENTRALIZER_ARGS[group]]) == 0
+    return buf.getvalue()
+
+
 def _render(name: str) -> str:
     kind, _, arg = name.partition(":")
     if kind == "ball":
@@ -93,6 +109,8 @@ def _render(name: str) -> str:
         return _combing_text(arg)
     if kind == "profile":
         return _profile_text(arg)
+    if kind == "centralizer":
+        return _centralizer_text(arg)
     return _klein_text()
 
 
