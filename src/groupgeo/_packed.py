@@ -1,19 +1,23 @@
-"""Batch right actions on packed int64 elements (see ``groups``, *Batch
+"""Batch products on packed int64 elements (see ``groups``, *Batch
 actions*).
 
 A packed model stores a set of elements as the rows of one C-contiguous
 int64 array: ``IntegerMatrixGroup`` as the d*d entries of a matrix in
-row-major order, ``DyadicAffineGroup`` as the columns (k, num, exp).
-``act(rows, code)`` multiplies every row on the right by one letter image at
-once.  Before it computes anything it proves, from the largest |entry| of
-its input, that no result and no intermediate overflows int64; when the
-proof fails it returns None and the caller continues on Python integers.
-So no wrapped integer is ever returned.
+row-major order, ``DyadicAffineGroup`` as the columns (k, num, exp), and
+``FreeGroupModel`` as one column holding a leading 1 bit followed by one
+code per letter.  Every packing is canonical: equal rows are equal
+elements.  ``act(rows, code)`` multiplies every row on the right by one
+letter image at once; ``right_multiply(rows, y)`` and
+``left_multiply(rows, y)`` multiply every row by an arbitrary element y,
+on either side.  Before it computes anything each proves, from the largest
+|entry| of its input, that no result and no intermediate overflows int64;
+when the proof fails it returns None and the caller continues on Python
+integers.  So no wrapped integer is ever returned.
 
 ``groups`` imports this module only when a model builds its batch action,
 on the first ball enumeration.  numpy is loaded with the package anyway (by
 the kernel fallback), so what the deferral saves is compiling this module
-in runs that build no packed ball, such as balls of free groups and of Z^2.
+in runs that build no packed ball, such as balls of Z^2 and braid groups.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 INT64_MAX = (1 << 63) - 1
+_DECODE_BLOCK = 4096  # free words decoded per shift-and-mask matrix
 
 
 def max_abs(rows: np.ndarray) -> int:
@@ -62,11 +67,8 @@ class MatrixBatch:
 
     def __init__(self, dim: int, images: Sequence[tuple], elementary: Sequence[Optional[tuple]]):
         self.dim = dim
-        # per letter code: (i, j, s) or None, the image, max |image entry|
-        self._letters = []
-        for y, el in zip(images, elementary):
-            Y = np.array(y, dtype=np.int64)
-            self._letters.append((el, Y, max_abs(Y)))
+        # per letter code: (i, j, s) or None, and the image
+        self._letters = list(zip(elementary, images))
 
     @classmethod
     def build(cls, dim: int, images: Sequence[tuple], elementary: Sequence[Optional[tuple]]):
@@ -79,20 +81,34 @@ class MatrixBatch:
         return np.array([sum(x, ())], dtype=np.int64)
 
     def act(self, rows: np.ndarray, code: int) -> Optional[np.ndarray]:
-        d = self.dim
-        elementary, Y, y_max = self._letters[code]
-        M = max_abs(rows)
-        if elementary is not None:
-            i, j, s = elementary
-            if 2 * M > INT64_MAX:
-                return None
-            out = rows.copy()
-            col = out[:, j::d]
-            (np.add if s > 0 else np.subtract)(col, rows[:, i::d], out=col)
-            return out
-        if d * M * y_max > INT64_MAX:
+        elementary, y = self._letters[code]
+        if elementary is None:
+            return self.right_multiply(rows, y)
+        i, j, s = elementary
+        if 2 * max_abs(rows) > INT64_MAX:
             return None
-        return np.matmul(rows.reshape(-1, d, d), Y).reshape(-1, d * d)
+        d = self.dim
+        out = rows.copy()
+        col = out[:, j::d]
+        (np.add if s > 0 else np.subtract)(col, rows[:, i::d], out=col)
+        return out
+
+    def right_multiply(self, rows: np.ndarray, y) -> Optional[np.ndarray]:
+        """x -> x * y for any matrix y, one batched matmul."""
+        Y = self._operand(rows, y)
+        return None if Y is None else np.matmul(rows.reshape(-1, self.dim, self.dim), Y).reshape(rows.shape)
+
+    def left_multiply(self, rows: np.ndarray, y) -> Optional[np.ndarray]:
+        """x -> y * x for any matrix y, bounded as ``right_multiply``."""
+        Y = self._operand(rows, y)
+        return None if Y is None else np.matmul(Y, rows.reshape(-1, self.dim, self.dim)).reshape(rows.shape)
+
+    def _operand(self, rows: np.ndarray, y) -> Optional[np.ndarray]:
+        """y as an int64 array, or None when d * M * max|y| is past int64."""
+        y_max = max(abs(v) for row in y for v in row)
+        if y_max > INT64_MAX or self.dim * max_abs(rows) * y_max > INT64_MAX:
+            return None
+        return np.array(y, dtype=np.int64)
 
     def unpack(self, rows: np.ndarray) -> list:
         """Tuples of row tuples of Python ints.  Equal matrix rows are one
@@ -114,12 +130,14 @@ class MatrixBatch:
 class DyadicBatch:
     """x -> x * y for dyadic affine maps packed as int64 rows (k, num, exp).
 
-    With y = (k2, p2, e2) the product has exp E = max(e2 - k1, e1, 0) and
-    num = (p2 << (E - e2 + k1)) + (p1 << (E - e1)), normalised by exact
-    integer operations: the trailing zeros of num are counted on its lowest
-    set bit ``num & -num``, and min(trailing zeros, E) are shifted out.
-    For inputs with |k1| <= K, |p1| <= P and 0 <= e1 <= X, E is at most
-    S = max(e2 + K, X, 0), so |num| <= (P << S) + (|p2| << (S - e2 + K)).
+    The product x * y of x = (k1, p1, e1) and y = (k2, p2, e2) has exp
+    E = max(e2 - k1, e1, 0) and num = (p2 << (E - e2 + k1)) + (p1 << (E - e1)),
+    normalised by exact integer operations: the trailing zeros of num are
+    counted on its lowest set bit ``num & -num``, and min(trailing zeros, E)
+    are shifted out.  Either factor may be the rows and the other one
+    element.  With |k1| <= K, |p1| <= P1, e1 <= X1, |p2| <= P2 and
+    e2_lo <= e2 <= X2, E is at most S = max(X2 + K, X1, 0), so
+    |num| <= (P1 << S) + (P2 << (S - e2_lo + K)).
     """
 
     def __init__(self, images: Sequence[tuple]):
@@ -136,28 +154,162 @@ class DyadicBatch:
         return np.array([x], dtype=np.int64)
 
     def act(self, rows: np.ndarray, code: int) -> Optional[np.ndarray]:
-        k2, p2, e2 = self._images[code]
-        k1, p1, e1 = rows[:, 0], rows[:, 1], rows[:, 2]
-        K = max_abs(k1)
-        S = max(e2 + K, int(e1.max()) if len(e1) else 0, 0)
-        bound = max_abs(p1) << S
-        if p2:
-            bound += abs(p2) << (S - e2 + K)
-        if bound > INT64_MAX or S > 62 or K + abs(k2) > INT64_MAX:
-            return None
-        e2k = e2 - k1
-        E = np.maximum(np.maximum(e2k, e1), 0)
-        num = np.left_shift(p1, E - e1)
-        if p2:
-            num += np.left_shift(np.int64(p2), E - e2k)
-        zero = num == 0
-        shift = np.minimum(np.bitwise_count((num & -num) - 1), E)
-        out = np.empty_like(rows)
-        np.add(k1, k2, out=out[:, 0])
-        np.right_shift(num, shift, out=out[:, 1])
-        np.subtract(E, shift, out=out[:, 2])
-        out[zero, 2] = 0
-        return out
+        return self.right_multiply(rows, self._images[code])
+
+    def right_multiply(self, rows: np.ndarray, y) -> Optional[np.ndarray]:
+        """x -> x * y for any dyadic map y."""
+        return _compose((rows[:, 0], rows[:, 1], rows[:, 2]), y, rows)
+
+    def left_multiply(self, rows: np.ndarray, y) -> Optional[np.ndarray]:
+        """x -> y * x for any dyadic map y."""
+        return _compose(y, (rows[:, 0], rows[:, 1], rows[:, 2]), rows)
 
     def unpack(self, rows: np.ndarray) -> list:
         return list(zip(*(rows[:, j].tolist() for j in range(3))))
+
+
+def _extremes(v) -> tuple[int, int]:
+    """(min, max) of an int64 column or a Python int, as Python ints."""
+    if isinstance(v, np.ndarray):
+        return (int(v.min()), int(v.max())) if len(v) else (0, 0)
+    return v, v
+
+
+def _compose(x, y, rows: np.ndarray) -> Optional[np.ndarray]:
+    """The dyadic products x * y, one factor the columns of ``rows`` and the
+    other one element, as new rows; None without the bound of
+    ``DyadicBatch``."""
+    k1, p1, e1 = x
+    k2, p2, e2 = y
+    K = max(map(abs, _extremes(k1)))
+    P1 = max(map(abs, _extremes(p1)))
+    P2 = max(map(abs, _extremes(p2)))
+    e2_lo, e2_hi = _extremes(e2)
+    S = max(e2_hi + K, _extremes(e1)[1], 0)
+    if S > 62:  # then K <= S keeps the shifts below small
+        return None
+    bound = P1 << S
+    if P2:
+        bound += P2 << (S - e2_lo + K)
+    if bound > INT64_MAX or K + max(map(abs, _extremes(k2))) > INT64_MAX:
+        return None
+    k1, p1, e1, k2, p2, e2 = (v if isinstance(v, np.ndarray) else np.int64(v) for v in (k1, p1, e1, k2, p2, e2))
+    e2k = e2 - k1
+    E = np.maximum(np.maximum(e2k, e1), 0)
+    num = np.left_shift(p1, E - e1)
+    if P2:
+        num += np.left_shift(p2, E - e2k)
+    zero = num == 0
+    shift = np.minimum(np.bitwise_count((num & -num) - 1), E)
+    out = np.empty_like(rows)
+    np.add(k1, k2, out=out[:, 0])
+    np.right_shift(num, shift, out=out[:, 1])
+    np.subtract(E, shift, out=out[:, 2])
+    out[zero, 2] = 0
+    return out
+
+
+class FreeBatch:
+    """x -> x * y for reduced words of a free group packed as int64 rows.
+
+    A row is one column: a leading 1 bit, then the word's letter codes, the
+    first letter highest, b = (2 * rank - 1).bit_length() bits each, so a
+    word of length L takes 1 + b * L bits and the identity is 1.  x * c
+    drops the last code of x when it is c ^ 1 and otherwise shifts x left
+    and appends c; c * x cancels or inserts a code just below the leading
+    bit.  Each step lengthens a row by at most b bits, so it is proved from
+    the largest row: it returns None when that row's bit length plus b is
+    past 63.
+    """
+
+    def __init__(self, rank: int, images: Sequence[tuple]):
+        self.bits = (2 * rank - 1).bit_length()
+        self._mask = (1 << self.bits) - 1
+        self._codes = [c for (c,) in images]
+
+    @classmethod
+    def build(cls, rank: int, images: Sequence[tuple]):
+        """None unless every image is one letter."""
+        if any(len(y) != 1 for y in images):
+            return None
+        return cls(rank, images)
+
+    def pack(self, x) -> np.ndarray:
+        row = 1
+        for c in x:
+            row = row << self.bits | c
+        return np.array([[row]], dtype=np.int64)
+
+    def _fits(self, rows: np.ndarray) -> bool:
+        return (int(rows.max()) if len(rows) else 1).bit_length() + self.bits <= 63
+
+    def _append(self, rows: np.ndarray, c: int) -> Optional[np.ndarray]:
+        if not self._fits(rows):
+            return None
+        b = self.bits
+        # a row above the mask holds at least one code
+        cancel = ((rows & self._mask) == c ^ 1) & (rows > self._mask)
+        return np.where(cancel, rows >> b, (rows << b) | c)
+
+    def _prepend(self, rows: np.ndarray, c: int) -> Optional[np.ndarray]:
+        if not self._fits(rows):
+            return None
+        b = self.bits
+        top = _bit_length(rows) - 1  # the leading bit's position
+        below = np.maximum(top - b, 0)  # the first code's lowest bit
+        cancel = (((rows >> below) & self._mask) == c ^ 1) & (top >= b)
+        one = np.int64(1)
+        shortened = (rows & ((one << below) - 1)) | (one << below)
+        return np.where(cancel, shortened, rows + (np.int64((1 << b | c) - 1) << top))
+
+    def act(self, rows: np.ndarray, code: int) -> Optional[np.ndarray]:
+        return self._append(rows, self._codes[code])
+
+    def right_multiply(self, rows: np.ndarray, y) -> Optional[np.ndarray]:
+        """x -> x * y for a reduced word y, one code at a time."""
+        for c in y:
+            rows = self._append(rows, c)
+            if rows is None:
+                return None
+        return rows
+
+    def left_multiply(self, rows: np.ndarray, y) -> Optional[np.ndarray]:
+        """x -> y * x for a reduced word y, one code at a time from its end."""
+        for c in reversed(y):
+            rows = self._prepend(rows, c)
+            if rows is None:
+                return None
+        return rows
+
+    def unpack(self, rows: np.ndarray) -> list:
+        """Tuples of letter codes as Python ints, decoded one word length
+        at a time with a shift-and-mask matrix per block of at most
+        ``_DECODE_BLOCK`` rows, so that the lists of codes that become the
+        tuples are never all held at once.  Rows already in order of length,
+        as a ball's are, need no permutation at the end."""
+        words = rows[:, 0]
+        b = self.bits
+        lengths = (_bit_length(words) - 1) // b
+        order = np.argsort(lengths, kind="stable")
+        ordered: list = []
+        start = 0
+        for length, count in zip(*np.unique(lengths, return_counts=True)):
+            shifts = np.arange(b * (int(length) - 1), -1, -b, dtype=np.int64)
+            for lo in range(start, start + count, _DECODE_BLOCK):
+                group = words[order[lo:min(lo + _DECODE_BLOCK, start + count)]]
+                ordered += map(tuple, ((group[:, None] >> shifts) & self._mask).tolist())
+            start += count
+        if (lengths[1:] >= lengths[:-1]).all():
+            return ordered
+        back = np.empty_like(order)
+        back[order] = np.arange(len(order))
+        return list(map(ordered.__getitem__, back.tolist()))
+
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """The bit length of each positive int64, exactly: the float exponent,
+    less one where rounding to float carried into the next power of two."""
+    _, e = np.frexp(x.astype(np.float64))
+    e = e.astype(np.int64)
+    e -= (x >> (e - 1)) == 0
+    return e

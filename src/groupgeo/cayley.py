@@ -22,8 +22,9 @@ it defines (Holt, Eick and O'Brien, *Handbook of Computational Group
 Theory*, 2005, ch. 5).  The state behind a ball is one of two kinds:
 
 * Packed (``_PackedLayers``), for models with a packed batch action
-  (``IntegerMatrixGroup``, ``DyadicAffineGroup``; see ``groups``): the
-  elements are the rows of one int64 array.  A layer's products are
+  (``IntegerMatrixGroup``, ``DyadicAffineGroup``, and ``FreeGroupModel``
+  marked by single letters; see ``groups``): the elements are the rows of
+  one int64 array.  A layer's products are
   deduplicated by one ``np.unique`` over int64 row keys of the frontier and
   the candidates, new vertices kept in first-occurrence order.  This is
   frontier search (Korf, Zhang, Thayer and Hohwald, J. ACM 52(5), 2005): the
@@ -33,7 +34,9 @@ Theory*, 2005, ch. 5).  The state behind a ball is one of two kinds:
   computed from both; an edge into layer r is computed once.  ``elements``,
   ``keys_shortlex`` and ``index`` are decoded from the rows on first use.
   ``select(row_filter)`` decodes only the rows that a filter on the int64
-  rows passes, so a scan for a few subgroup members decodes those alone.
+  rows passes, so a scan for a few subgroup members decodes those alone;
+  ``elements_at`` decodes only the vertices asked for, and ``packed_rows``
+  hands a scan the rows themselves.
   A stop-key search (``word_length_of``, ``geodesic_shortlex``) decodes and
   keys each layer once, and keeps the vertex it finds.
   Where a layer cannot prove that its products fit in int64, it and the
@@ -44,10 +47,12 @@ Theory*, 2005, ch. 5).  The state behind a ball is one of two kinds:
   reverse slot filled at once, so that an edge found from one end is never
   multiplied from the other.
 
-Other models stay element by element, holding one product at a time.  A
-frontier search over (element, key) rows gave the same balls but held a
-whole layer's products: the free2 r=10 centralizer report peaked at 141 MB
-against 74 MB, and ``combing-zoo`` at 127 MB against 73 MB.
+Other models (braid groups, direct products, tables, free groups marked
+by longer words) stay element by element, holding one product at a time.
+A frontier search over (element, key) rows, measured when free2 still ran
+element by element, gave the same balls but held a whole layer's products:
+the free2 r=10 centralizer report peaked at 141 MB against 74 MB, and
+``combing-zoo`` at 127 MB against 73 MB.
 
 The rows of the last layer are never expanded by enumeration, though their
 slots towards the layer before are already filled; ``graph_csr`` fills the
@@ -122,6 +127,25 @@ class BallIndex:
         rows = layers.seal().rows[0]
         vs = np.flatnonzero(row_filter(rows))
         return vs.tolist(), layers.batch.unpack(rows[vs])
+
+    def packed_rows(self) -> Optional[tuple]:
+        """(batch action, int64 rows in vertex order) of a packed ball whose
+        elements are not decoded yet, else None: a scan then reads
+        ``elements``, which cost nothing more."""
+        layers = self._layers
+        if not isinstance(layers, _PackedLayers) or layers._elements is not None:
+            return None
+        return layers.batch, layers.seal().rows[0]
+
+    def elements_at(self, vertices) -> list:
+        """The elements of these vertices; a packed ball whose elements are
+        not decoded yet decodes only their rows."""
+        packed = self.packed_rows()
+        if packed is None:
+            elements = self.elements
+            return [elements[v] for v in vertices]
+        batch, rows = packed
+        return batch.unpack(rows[np.asarray(vertices, dtype=np.intp)])
 
     @property
     def entries(self) -> "_EntryView":

@@ -147,7 +147,7 @@ def _cmd_centralizer(args) -> int:
     idx = cayley.ball(G, args.radius, max_elements=args.max_elements)
     sigma = combing.shortlex_bicombing(G, args.radius, index=idx)
     report = combing.centralizer_quasiconvexity_report(G, a, sigma, args.radius)
-    members = [idx.elements[v] for v in report.member_vertices]
+    members = idx.elements_at(report.member_vertices)
     if args.format == "json" and not args.out:
         print(json.dumps(
             {"members": [G.model.describe(m) for m in members],

@@ -17,11 +17,12 @@ other three checks read a ``ShortlexBicombing``'s lines off its ball's prefix
 matrix, enumerate no ball, and raise TypeError for any other bicombing and
 ValueError for a ball of the wrong radius.
 
-Where a ball comes from: the shortlex bicombing, ``centralizer_ball`` and
-``conjugator_search`` reuse the ``index`` they are given when it is a ball
-of G of at least the radius they need, and otherwise enumerate
-``cayley.ball(G, n)``.  The element cap is set where the ball is built, so a
-caller that wants one passes ``index=cayley.ball(G, n, max_elements=m)``.
+Where a ball comes from: the shortlex bicombing and ``conjugator_search``
+reuse the ``index`` they are given when it is a ball of G of at least the
+radius they need, and otherwise enumerate ``cayley.ball(G, n)``.  The
+element cap is set where the ball is built, so a caller that wants one
+passes ``index=cayley.ball(G, n, max_elements=m)``.  The centralizer's
+members are the report's ``member_vertices``.
 
 Vertex distances for the exhaustive checks are graph distances inside the
 enumerated ball.  They equal the word metric whenever geodesics between ball
@@ -323,13 +324,13 @@ def check_bounded(
 
 
 def _quasiconvexity_over_members(
-    G: MarkedGroup, idx: cayley.BallIndex, members: list[int], radius: int
+    G: MarkedGroup, idx: cayley.BallIndex, members: list[int], radius: int, paths
 ) -> ConstantsReport:
     """k = max over member vertices h and times t of d(line(1,h)(t), member
-    set), distances taken in the ball graph of idx.  The members lie in
-    ball(radius), which may be smaller than idx's ball."""
+    set), distances taken in the ball graph of idx and lines read off its
+    prefix matrix ``paths``.  The members lie in ball(radius), which may be
+    smaller than idx's ball."""
     to_H = multi_source_distances(idx._neighbour_table(), members)
-    paths = idx.prefix_matrix()
     best = -1
     witness = None
     for h in members:
@@ -362,7 +363,7 @@ def quasiconvexity_constant(
     idx = _shortlex_ball("quasiconvexity_constant", sigma, radius)
     vertices, elements = idx.select(H.row_filter)
     members = [v for v, g in zip(vertices, elements) if H.contains(g)]
-    return _quasiconvexity_over_members(G, idx, members, radius)
+    return _quasiconvexity_over_members(G, idx, members, radius, idx.prefix_matrix())
 
 
 def _conjugators_in_ball(
@@ -371,20 +372,36 @@ def _conjugators_in_ball(
     """Vertices psi of ball(n) with psi gamma psi^-1 = a, in shortlex order.
 
     The test is psi gamma = a psi, the same identity with no inverse: two
-    products and two keys per vertex."""
+    products and two keys per vertex.  On a packed ball whose elements are
+    not decoded (``BallIndex.packed_rows``), every layer after the identity
+    is tested at once on its rows: the packings are canonical, so the
+    conjugators are the rows whose two products are equal, and none is
+    decoded.  Only a layer whose products have no int64 proof is decoded
+    and tested vertex by vertex.  A search that stops at the identity, as
+    every search for a central a does, runs no array operation."""
     multiply, canonical_key = G.model.multiply, G.model.canonical_key
-    for v, psi in zip(range(sum(idx.sphere_sizes[: n + 1])), idx.elements):
-        if canonical_key(multiply(psi, gamma)) == canonical_key(multiply(a, psi)):
-            yield v
 
+    def by_element(vertices, elements):
+        for v, psi in zip(vertices, elements):
+            if canonical_key(multiply(psi, gamma)) == canonical_key(multiply(a, psi)):
+                yield v
 
-def centralizer_ball(
-    G: MarkedGroup, a: Element, n: int, index: Optional[cayley.BallIndex] = None
-) -> list[Element]:
-    """{g in ball(n) : g a g^-1 = a}, in shortlex order, scanned on
-    ``index`` or ``ball(G, n)`` (see the module docstring)."""
-    idx = _ball_of(G, n, index)
-    return [idx.elements[v] for v in _conjugators_in_ball(G, idx, a, a, n)]
+    packed = idx.packed_rows()
+    if packed is None:
+        yield from by_element(range(sum(idx.sphere_sizes[: n + 1])), idx.elements)
+        return
+    yield from by_element([0], [G.model.identity])
+    batch, rows = packed
+    start = 1
+    for count in idx.sphere_sizes[1: n + 1]:
+        layer = rows[start:start + count]
+        right = batch.right_multiply(layer, gamma)
+        left = None if right is None else batch.left_multiply(layer, a)
+        if left is None:
+            yield from by_element(range(start, start + count), batch.unpack(layer))
+        else:
+            yield from (start + (right == left).all(axis=1).nonzero()[0]).tolist()
+        start += count
 
 
 def conjugator_search(
@@ -409,26 +426,33 @@ def centralizer_quasiconvexity_report(
     plus, for every vertex v on a combing line of a member, the conjugate
     gamma = v^-1 a v and its shortlex-least conjugator psi back to a.
 
-    Members and k are read off sigma's ball, whose radius must be >= radius,
-    and the witnesses' vertices off sigma.line; raises TypeError and
-    ValueError as the module docstring says.  The members' vertices are kept
-    on ``member_vertices``.  Since v gamma v^-1 = a, v
-    itself is a conjugator of length |v| <= |member|, so the per-vertex
+    Members, k and the witnesses' vertices are read off sigma's ball, whose
+    radius must be >= radius: the vertices of sigma.line(1, h) are h's row
+    of the prefix matrix up to |h|, and only their elements are decoded.
+    Raises TypeError and ValueError as the module docstring says.  The
+    members' vertices are kept on ``member_vertices``.  Since v gamma v^-1 =
+    a, v itself is a conjugator of length |v| <= |member|, so the per-vertex
     searches never miss; a miss raises CapExceeded.
     """
     model = G.model
     idx = _shortlex_ball("centralizer_quasiconvexity_report", sigma, radius, at_least=True)
     members = list(_conjugators_in_ball(G, idx, a, a, radius))
-    report = _quasiconvexity_over_members(G, idx, members, radius)
+    paths = idx.prefix_matrix()
+    report = _quasiconvexity_over_members(G, idx, members, radius, paths)
+    # sigma.line(1, h) walks the vertices of h's prefix-matrix row up to |h|;
+    # their elements are decoded together
+    depths = idx.depth[members].tolist()
+    lines = [paths[h, : d + 1].tolist() for h, d in zip(members, depths)]
+    vertices = iter(idx.elements_at([v for line in lines for v in line]))
     fmt = G.alphabet.format_word
     conjugators = []
     psi_max = 0
-    for h in members:
+    for h, d in zip(members, depths):
         member = fmt(idx.vertex_word(h))
-        line = sigma.line(model.identity, idx.elements[h])
-        for t, v in enumerate(line.vertices):
+        for t in range(d + 1):
+            v = next(vertices)
             gamma = model.multiply(model.multiply(model.invert(v), a), v)
-            psi = conjugator_search(G, a, gamma, cap=int(idx.depth[h]), index=idx)
+            psi = conjugator_search(G, a, gamma, cap=d, index=idx)
             if psi is None:  # v itself conjugates gamma back to a
                 raise CapExceeded(
                     f"no conjugator of gamma back to a within |member| for member "

@@ -27,8 +27,8 @@ against 600-660 ns, so matrices keep the default.
 Batch actions.  Ball enumeration expands a whole layer at once through
 ``MarkedGroup.batch_action()``, which the model builds from the letter
 images on first use (``GroupModel.batch_action``) and the marked group
-keeps.  Two models have a packed one (module ``_packed``), acting on int64
-rows, one row per element:
+keeps.  Three models have a packed one (module ``_packed``), acting on
+int64 rows, one row per element:
 
 * ``IntegerMatrixGroup``: the d*d entries in row-major order; an elementary
   letter is one column operation on the whole array, any other letter one
@@ -36,15 +36,23 @@ rows, one row per element:
 * ``DyadicAffineGroup``: the columns (k, num, exp); a product is a few
   vectorised shifts, and normalisation counts trailing zeros on
   ``num & -num`` with exact integer operations.
+* ``FreeGroupModel``, when every letter image is one letter: a leading 1
+  bit, then one fixed-width code per letter; a product drops the last code
+  or shifts and appends one.
+
+Every packing is canonical, so equal rows are equal elements, and a packed
+batch action also multiplies rows by an arbitrary element on either side
+(``right_multiply``, ``left_multiply``), which lets a scan test a whole
+layer of a ball at once.
 
 The int64 bound rule: before acting, a batch action proves from the
 largest |entry| M of its input rows that no result overflows, with
 |result| <= 2M for an elementary letter and <= d * M * max|y| for a matmul
-(``DyadicBatch`` states its bound on num).  When the proof fails it
-returns None and enumeration goes on element by element over Python
-integers, so no wrapped integer is ever stored.  Every other model returns
-None from the start: its batch action is the default, one ``right_action``
-call per open slot.
+(``DyadicBatch`` states its bound on num, ``FreeBatch`` on the bit length).
+When the proof fails it returns None and enumeration goes on element by
+element over Python integers, so no wrapped integer is ever stored.  Every
+other model returns None from the start: its batch action is the default,
+one ``right_action`` call per open slot.
 
 General products.  ``multiply`` and ``invert`` of arbitrary elements (the
 combing checks, conjugacy tests, ``evaluate`` of inverse letters) cost what
@@ -394,6 +402,11 @@ class FreeGroupModel(GroupModel):
 
     def invert(self, x):
         return tuple([c ^ 1 for c in reversed(x)])
+
+    def batch_action(self, images):
+        from ._packed import FreeBatch
+
+        return FreeBatch.build(self.rank, images)
 
     def canonical_key(self, x) -> bytes:
         if self._byte_codes:

@@ -4,9 +4,11 @@
 batch actions: one right action, one canonical key and one dict lookup per
 open slot, over Python integers, with the reverse slot filled at once, and
 the last layer closed the same way.  Every ball, packed or not, must equal
-it field by field.
+it field by field.  The packed products by an arbitrary element, on either
+side, must equal ``multiply`` row by row.
 """
 
+import random
 from array import array
 
 import numpy as np
@@ -14,10 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupgeo import cayley
-from groupgeo._packed import INT64_MAX, DyadicBatch, MatrixBatch
+from groupgeo._packed import INT64_MAX, DyadicBatch, FreeBatch, MatrixBatch
 from groupgeo.errors import MemoryCapExceeded
 from groupgeo.experiments import get_group, group_from_config
-from groupgeo.groups import evaluate
+from groupgeo.groups import FreeGroupModel, MarkedGroup, evaluate
+from groupgeo.words import Alphabet
 
 _UNKNOWN = -2
 ZOO = ("braid3", "bs12", "free2", "heis3", "kleinfour", "sl2z", "z2")
@@ -139,6 +142,10 @@ CONFIGS = {
     "dyadic_x3_4x": (lambda: _dyadic((0, 3, 0), (2, 0, 0)), 7),
     "dyadic_half": (lambda: _dyadic((0, 1, 1), (1, 0, 0), (1, 1, 0)), 5),
     "dyadic_negative_k": (lambda: _dyadic((-1, 1, 0), (0, 1, 2)), 6),
+    # free groups on their standard markings, 1, 2 and 3 bits per code
+    "free1": (lambda: group_from_config({"kind": "free", "alphabet": ["x"]}), 12),
+    "free2": (lambda: group_from_config({"kind": "free", "alphabet": ["x", "y"]}), 6),
+    "free3": (lambda: group_from_config({"kind": "free", "alphabet": ["x", "y", "z"]}), 4),
     "product": (lambda: group_from_config({
         "kind": "product",
         "factors": [
@@ -249,6 +256,44 @@ class TestInt64Boundary:
         rows = np.array([[0, 2 ** 61, 0]], dtype=np.int64)
         assert batch.act(rows, 0).tolist() == [[0, INT64_MAX, 0]]
         assert batch.act(rows, 1) is None  # 2^61 + 3 * 2^61 = 2^63
+
+    def test_free_rows_up_to_63_bits(self):
+        # rank 2 takes 2 bits per code: a word of length 30 is 61 bits and
+        # acts, one of length 31 is 63 bits and has no proof
+        model = FreeGroupModel(2)
+        batch = FreeBatch.build(2, [(0,), (1,), (2,), (3,)])
+        w30, w31 = (0, 2) * 15, (0, 2) * 15 + (0,)
+        rows30, rows31 = batch.pack(w30), batch.pack(w31)
+        assert (int(rows30[0, 0]).bit_length(), int(rows31[0, 0]).bit_length()) == (61, 63)
+        for code in range(4):
+            y = (code,)
+            assert batch.unpack(batch.act(rows30, code)) == [model.multiply(w30, y)]
+            assert batch.unpack(batch.right_multiply(rows30, y)) == [model.multiply(w30, y)]
+            assert batch.unpack(batch.left_multiply(rows30, y)) == [model.multiply(y, w30)]
+            # no proof even where the product would cancel a code
+            assert batch.act(rows31, code) is None
+            assert batch.right_multiply(rows31, y) is None
+            assert batch.left_multiply(rows31, y) is None
+        assert batch.unpack(np.concatenate((rows30, rows31))) == [w30, w31]
+
+    def test_free_words_past_63_bits_run_on_tuples(self):
+        # rank 2^30 takes 31 bits per code: layers 1 and 2 are packed, the
+        # products of layer 2 have no proof
+        model = FreeGroupModel(2 ** 30)
+        G = MarkedGroup(
+            model=model, alphabet=Alphabet(("a", "b")),
+            marking=(model.generator(0), model.generator(2 ** 30 - 1)),
+        )
+        rows = _count_batch_rows(G)
+        idx, _ = _assert_same_ball(G, 4)
+        assert rows[0] > 0
+        assert isinstance(idx._layers, cayley._ElementLayers)
+
+    def test_free_images_of_other_lengths_are_not_packed(self):
+        model = FreeGroupModel(2)
+        assert model.batch_action([(0,), (1,), (0, 2), (3, 1)]) is None
+        assert model.batch_action([(0,), (1,), (), ()]) is None
+        assert model.batch_action([(0,), (1,), (0,), (1,)]) is not None
 
     def test_dyadic_normalises_exactly(self):
         G = get_group("bs12")
@@ -370,3 +415,106 @@ class TestRandomMarkings:
     @settings(max_examples=25, deadline=None)
     def test_dyadic(self, triples):
         _assert_same_ball(_dyadic(*triples), 3)
+
+
+def _random_free_word(rng, rank, length):
+    w = ()
+    while len(w) < length:
+        c = rng.randrange(2 * rank)
+        w = w[:-1] if w and w[-1] == c ^ 1 else w + (c,)
+    return w
+
+
+def _sample_elements(G, rng, count, radius):
+    """Elements of G as products of up to ``radius`` random letters."""
+    out = []
+    for _ in range(count):
+        g = G.model.identity
+        for _ in range(rng.randrange(radius + 1)):
+            g = G.letter_actions[rng.randrange(len(G.letter_actions))](g)
+        out.append(g)
+    return out
+
+
+class TestRowProducts:
+    """right_multiply and left_multiply of packed rows by an arbitrary
+    element equal ``multiply`` row by row, and return None without a proof."""
+
+    @staticmethod
+    def _check(G, xs, ys):
+        batch = G.batch_action()
+        rows = np.concatenate([batch.pack(x) for x in xs])
+        multiply = G.model.multiply
+        for y in ys:
+            assert batch.unpack(batch.right_multiply(rows, y)) == [multiply(x, y) for x in xs]
+            assert batch.unpack(batch.left_multiply(rows, y)) == [multiply(y, x) for x in xs]
+
+    @pytest.mark.parametrize("group", ["bs12", "heis3", "sl2z"])
+    def test_zoo(self, group):
+        G = get_group(group)
+        rng = random.Random(group)
+        self._check(G, _sample_elements(G, rng, 60, 8), _sample_elements(G, rng, 12, 8))
+
+    @pytest.mark.parametrize("case", ["matrix3", "matrix4", "dyadic_half", "dyadic_negative_k"])
+    def test_configs(self, case):
+        G = CONFIGS[case][0]()
+        rng = random.Random(case)
+        self._check(G, _sample_elements(G, rng, 40, 6), _sample_elements(G, rng, 10, 6))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_free(self, rank):
+        G = group_from_config({"kind": "free", "alphabet": ["x", "y", "z"][:rank]})
+        rng = random.Random(rank)
+        xs = [_random_free_word(rng, rank, rng.randrange(12)) for _ in range(80)]
+        # y cancels all of some rows, part of others, and none of the rest
+        ys = [(), xs[1], G.model.invert(xs[2]), G.model.invert(xs[3])[:2]]
+        ys += [_random_free_word(rng, rank, rng.randrange(8)) for _ in range(10)]
+        self._check(G, xs, ys)
+
+    def test_free_unpack_round_trip(self):
+        # more rows of one length than one decode block, in length order
+        # and shuffled
+        batch = FreeBatch.build(2, [(0,), (1,), (2,), (3,)])
+        rng = random.Random(5)
+        xs = sorted(
+            (_random_free_word(rng, 2, n) for n in [9] * 9000 + [3] * 50 + [0]), key=len
+        )
+        rows = np.concatenate([batch.pack(x) for x in xs])
+        assert batch.unpack(rows) == xs
+        perm = list(range(len(xs)))
+        rng.shuffle(perm)
+        assert batch.unpack(rows[perm]) == [xs[i] for i in perm]
+
+    def test_matrix_bound_is_d_M_max_y(self):
+        G = get_group("sl2z")
+        batch = G.batch_action()
+        M = INT64_MAX // 6  # d * M * max|y| = 6M
+        rows = np.array([[M, 0, 0, 1]], dtype=np.int64)
+        y = ((2, 3), (1, 2))
+        assert batch.right_multiply(rows, y).tolist() == [[2 * M, 3 * M, 1, 2]]
+        assert batch.left_multiply(rows, y).tolist() == [[2 * M, 3, M, 2]]
+        rows[0, 0] += 1
+        assert batch.right_multiply(rows, y) is None
+        assert batch.left_multiply(rows, y) is None
+        # an element with an entry past int64 has no proof on any rows
+        big = ((1, 2 ** 63), (0, 1))
+        assert batch.right_multiply(rows[:, :] * 0 + 1, big) is None
+        assert batch.left_multiply(rows[:, :] * 0 + 1, big) is None
+
+    def test_dyadic_bound(self):
+        G = get_group("bs12")
+        batch, model = G.batch_action(), G.model
+        x = (0, 2 ** 61, 0)
+        rows = np.array([x], dtype=np.int64)
+        fits, past = (0, INT64_MAX - 2 ** 61, 0), (0, 3 * 2 ** 61, 0)
+        assert batch.unpack(batch.right_multiply(rows, fits)) == [model.multiply(x, fits)]
+        assert batch.unpack(batch.left_multiply(rows, fits)) == [model.multiply(fits, x)]
+        assert batch.right_multiply(rows, past) is None  # 2^61 + 3 * 2^61 = 2^63
+        assert batch.left_multiply(rows, past) is None
+        # y = 2^k x + 1 with k = 2^63 - 1: x * y only adds k, but y * x
+        # shifts x's num by k, and k + k is past int64
+        huge = (INT64_MAX, 1, 0)
+        assert batch.unpack(batch.right_multiply(rows, huge)) == [model.multiply(x, huge)]
+        assert batch.left_multiply(rows, huge) is None
+        assert batch.right_multiply(np.array([huge], dtype=np.int64), huge) is None
+

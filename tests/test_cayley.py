@@ -363,16 +363,17 @@ def _count_products(G):
 class TestOneProductPerEdge:
     def test_free2_counts(self):
         # a tree: a vertex's row holds its parent edge and m - 1 new edges,
-        # so only the parent slot is found as a reverse edge
+        # so only the parent slot is found as a reverse edge.  free2 is
+        # packed, so the products are rows passed to the batch action.
         G = get_group("free2")
         calls = _count_products(G)
         idx = cayley.ball(G, 6)
         m = 4
         inner = len(idx) - idx.sphere_sizes[-1]  # |B(5)|
-        assert calls[0] == m + (inner - 1) * (m - 1) == 1456
+        assert calls[1] == m + (inner - 1) * (m - 1) == 1456
         idx.graph_csr()
-        assert calls[0] - 1456 == (m - 1) * idx.sphere_sizes[-1] == 2916
-        assert calls[1] == 0
+        assert calls[1] - 1456 == (m - 1) * idx.sphere_sizes[-1] == 2916
+        assert calls[0] == 0
 
     @pytest.mark.parametrize("group", ZOO)
     def test_one_call_per_reverse_slot_pair(self, group):

@@ -11,7 +11,8 @@ from groupgeo import cayley, combing, distortion
 from groupgeo._kernel import _ops_py
 from groupgeo.errors import CapExceeded, MemoryCapExceeded, TooFewPoints
 from groupgeo.experiments import _CENTRALIZER_WORDS, AmbientAsSubgroup, get_group, zoo_names
-from groupgeo.groups import evaluate
+from groupgeo.groups import FreeGroupModel, MarkedGroup, evaluate
+from groupgeo.words import Alphabet
 
 
 def _elt(G, text):
@@ -215,13 +216,15 @@ class TestQuasiconvexity:
 class TestCentralizers:
     def test_abelian_centralizer_is_everything(self):
         G = get_group("z2")
-        idx = cayley.ball(G, 3)
-        members = combing.centralizer_ball(G, _elt(G, "x"), 3, index=idx)
-        assert len(members) == len(idx)
+        sigma = combing.shortlex_bicombing(G, 3)
+        report = combing.centralizer_quasiconvexity_report(G, _elt(G, "x"), sigma, 3)
+        assert len(report.member_vertices) == len(sigma.index)
 
     def test_free_centralizer_is_the_cyclic_axis(self):
         G = get_group("free2")
-        members = combing.centralizer_ball(G, _elt(G, "x"), 4)
+        sigma = combing.shortlex_bicombing(G, 4)
+        report = combing.centralizer_quasiconvexity_report(G, _elt(G, "x"), sigma, 4)
+        members = sigma.index.elements_at(report.member_vertices)
         keys = {G.model.canonical_key(g) for g in members}
         want = {
             G.model.canonical_key(G.model.power(_elt(G, "x"), e))
@@ -349,11 +352,16 @@ class TestBallReadingChecks:
 
 
 class TestIndexReuse:
-    def test_centralizer_ball_ignores_another_groups_ball(self):
+    def test_centralizer_members_ignore_another_groups_ball(self):
         G = get_group("free2")
         x = _elt(G, "x")
-        got = combing.centralizer_ball(G, x, 2, index=cayley.ball(get_group("z2"), 3))
-        want = combing.centralizer_ball(G, x, 2)
+
+        def members(sigma):
+            report = combing.centralizer_quasiconvexity_report(G, x, sigma, 2)
+            return sigma.index.elements_at(report.member_vertices)
+
+        got = members(combing.shortlex_bicombing(G, 2, index=cayley.ball(get_group("z2"), 3)))
+        want = members(combing.shortlex_bicombing(G, 2))
         assert [G.model.canonical_key(g) for g in got] == [
             G.model.canonical_key(g) for g in want
         ]
@@ -373,8 +381,13 @@ class TestIndexReuse:
         G = get_group("free2")
         small = cayley.ball(G, 2)
         x = _elt(G, "x")
-        assert len(combing.centralizer_ball(G, x, 3, index=small)) == 7
-        assert combing.shortlex_bicombing(G, 3, index=small).index.radius == 3
+        sigma = combing.shortlex_bicombing(G, 3, index=small)
+        assert sigma.index.radius == 3
+        assert len(combing.centralizer_quasiconvexity_report(G, x, sigma, 3).member_vertices) == 7
+        # the only conjugator of length <= 3 has length 3, outside the small ball
+        gamma = _elt(G, "y^-1 x^-1 y^-1 x y x y")
+        psi = combing.conjugator_search(G, x, gamma, 3, index=small)
+        assert G.alphabet.format_word(psi) == "y x y"
 
     def test_ball_of_the_group_is_reused(self, monkeypatch):
         G = get_group("free2")
@@ -385,8 +398,90 @@ class TestIndexReuse:
             raise AssertionError("enumerated a ball")
 
         monkeypatch.setattr(cayley, "ball", refuse)
-        assert len(combing.centralizer_ball(G, x, 3, index=idx)) == 7
+        sigma = combing.shortlex_bicombing(G, 3, index=idx)
+        assert len(combing.centralizer_quasiconvexity_report(G, x, sigma, 3).member_vertices) == 7
         assert len(combing.conjugator_search(G, x, _elt(G, "y x y^-1"), 3, index=idx)) == 1
+
+
+# acceptance criterion 5's radii
+CRITERION5_RADII = {
+    "braid3": 4, "bs12": 5, "free2": 5, "heis3": 5, "kleinfour": 3, "sl2z": 5, "z2": 6,
+}
+
+
+def _decoded_ball(G, n):
+    """A ball whose elements are decoded, so its scans test tuples."""
+    idx = cayley.ball(G, n)
+    idx.index
+    assert idx.packed_rows() is None
+    return idx
+
+
+class TestRowScan:
+    """The conjugator scan on packed rows, a layer at a time, finds what the
+    scan of decoded elements finds, vertex for vertex."""
+
+    @pytest.mark.parametrize("name", sorted(CRITERION5_RADII))
+    def test_report_matches_tuple_scan(self, name):
+        G = get_group(name)
+        r = CRITERION5_RADII[name]
+        a = _elt(G, _CENTRALIZER_WORDS[name])
+        rows_ball = cayley.ball(G, r)
+        got = combing.centralizer_quasiconvexity_report(
+            G, a, combing.shortlex_bicombing(G, r, index=rows_ball), r)
+        sigma = combing.shortlex_bicombing(G, r, index=_decoded_ball(G, r))
+        want = combing.centralizer_quasiconvexity_report(G, a, sigma, r)
+        assert got.member_vertices == want.member_vertices
+        assert got.to_json_dict() == want.to_json_dict()
+        assert got.witnesses == want.witnesses
+        # the witnesses' vertices are those that sigma.line walks
+        model = G.model
+        gammas = [
+            model.describe(model.multiply(model.multiply(model.invert(v), a), v))
+            for h in want.member_vertices
+            for v in sigma.line(model.identity, sigma.index.elements[h]).vertices
+        ]
+        assert [row["gamma"] for row in got.witnesses["conjugators"]] == gammas
+        # the report decodes only the rows of its members' lines
+        assert (rows_ball.packed_rows() is None) == (G.batch_action() is None)
+
+    @pytest.mark.parametrize("name", sorted(CRITERION5_RADII))
+    def test_scans_match_on_conjugates(self, name):
+        G = get_group(name)
+        r = CRITERION5_RADII[name]
+        model = G.model
+        a = _elt(G, _CENTRALIZER_WORDS[name])
+        rows_ball, tuple_ball = cayley.ball(G, r), _decoded_ball(G, r)
+        elements = tuple_ball.elements
+        gammas = [a, model.multiply(a, a), G.letter_image_by_code(0)]
+        gammas += [
+            model.multiply(model.multiply(model.invert(v), a), v)
+            for v in elements[1::max(1, len(elements) // 7)]
+        ]
+        for gamma in gammas:
+            got = list(combing._conjugators_in_ball(G, rows_ball, a, gamma, r))
+            assert got == list(combing._conjugators_in_ball(G, tuple_ball, a, gamma, r))
+            assert combing.conjugator_search(G, a, gamma, r, index=rows_ball) == (
+                combing.conjugator_search(G, a, gamma, r, index=tuple_ball))
+
+    def test_layer_without_a_proof_is_tested_by_tuples(self):
+        # rank 2^30 takes 31 bits per code: layer 2's rows have 63 bits, so
+        # multiplying them by a letter has no int64 proof
+        model = FreeGroupModel(2 ** 30)
+        G = MarkedGroup(
+            model=model, alphabet=Alphabet(("a", "b")),
+            marking=(model.generator(0), model.generator(2 ** 30 - 1)),
+        )
+        rows_ball = cayley.ball(G, 2)
+        assert rows_ball.packed_rows() is not None
+        batch, rows = rows_ball.packed_rows()
+        assert batch.right_multiply(rows[5:], (0,)) is None
+        a = model.generator(0)
+        got = list(combing._conjugators_in_ball(G, rows_ball, a, a, 2))
+        assert got == list(combing._conjugators_in_ball(G, _decoded_ball(G, 2), a, a, 2))
+        assert [rows_ball.vertex_word(v).letters for v in got] == [
+            (), ((0, 1),), ((0, -1),), ((0, 1), (0, 1)), ((0, -1), (0, -1)),
+        ]
 
 
 def _reference_multi_source_distances(indptr, nbrs, n, sources):

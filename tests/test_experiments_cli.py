@@ -372,6 +372,20 @@ class TestCli:
             "member\n()\n(0, 2)\n(3, 1)\n(0, 2, 0, 2)\n(3, 1, 3, 1)\nk,1\n"
         )
 
+    def test_centralizer_decodes_only_the_members(self, monkeypatch, capsys):
+        # a free2 ball is packed: its elements, keys and key dict are never
+        # decoded, only the rows of the members and of their lines
+        def refuse(layers):
+            raise AssertionError("decoded the whole ball")
+
+        monkeypatch.setattr(cayley._PackedLayers, "elements", refuse)
+        assert cli.main(
+            ["centralizer", "--group", "free2", "--radius", "4", "--element", "x y"]
+        ) == 0
+        assert capsys.readouterr().out == (
+            "member\n()\n(0, 2)\n(3, 1)\n(0, 2, 0, 2)\n(3, 1, 3, 1)\nk,1\n"
+        )
+
     @pytest.mark.parametrize("config, message", [
         ({"alphabet": ["t"]}, "missing field 'kind'"),
         ({"kind": "product", "factors": [{"kind": "free", "alphabet": ["x"]}, {"alphabet": ["y"]}]},

@@ -6,7 +6,7 @@ ignores it.  The growth margin and the stability window are module constants.
 The element cap is set where the ball is built: ``cayley.ball`` and the four
 entry points that the CLI's ``--max-elements`` reaches take it, and every
 callable that would only hand it on to ``ball`` does not.  A caller that
-wants a capped bicombing or centralizer search passes a capped ball as
+wants a capped bicombing or conjugator search passes a capped ball as
 ``index``.  The combing checks that read a shortlex bicombing's ball
 enumerate none, so they take no element cap either.
 """
@@ -24,7 +24,6 @@ ENUMERATING = [
     combing.shortlex_bicombing,
     combing.check_bounded,
     combing.quasiconvexity_constant,
-    combing.centralizer_ball,
     combing.centralizer_quasiconvexity_report,
     distortion.distortion_profile,
     experiments.run_klein_check,
@@ -70,7 +69,6 @@ def test_cap_is_set_where_the_ball_is_built(fn):
     cayley.growth_series,
     combing.ShortlexBicombing.__init__,
     combing.shortlex_bicombing,
-    combing.centralizer_ball,
     combing.conjugator_search,
     combing._ball_of,
     distortion.HomImage.__init__,
