@@ -6,13 +6,14 @@ int64 array: ``IntegerMatrixGroup`` as the d*d entries of a matrix in
 row-major order, ``DyadicAffineGroup`` as the columns (k, num, exp), and
 ``FreeGroupModel`` as one column holding a leading 1 bit followed by one
 code per letter.  Every packing is canonical: equal rows are equal
-elements.  ``act(rows, code)`` multiplies every row on the right by one
-letter image at once; ``right_multiply(rows, y)`` and
+elements.  A batch is built from the model alone (the dimension or the
+rank) and has one product per side: ``right_multiply(rows, y)`` and
 ``left_multiply(rows, y)`` multiply every row by an arbitrary element y,
-on either side.  Before it computes anything each proves, from the largest
-|entry| of its input, that no result and no intermediate overflows int64;
-when the proof fails it returns None and the caller continues on Python
-integers.  So no wrapped integer is ever returned.
+a letter image or any other.  Before it computes anything each proves,
+from y and the largest |entry| of its input, that no result and no
+intermediate overflows int64; when the proof fails it returns None and the
+caller continues on Python integers.  So no wrapped integer is ever
+returned, and no y needs checking in advance.
 
 ``groups`` imports this module only when a model builds its batch action,
 on the first ball enumeration.  numpy is loaded with the package anyway (by
@@ -22,7 +23,7 @@ in runs that build no packed ball, such as balls of Z^2 and braid groups.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -56,34 +57,37 @@ def row_keys(pool: np.ndarray) -> np.ndarray:
     return key
 
 
-class MatrixBatch:
-    """x -> x * y for d x d integer matrices packed as int64 rows.
+def _elementary(y) -> Optional[tuple[int, int, int]]:
+    """(i, j, s) when the matrix y is I + s e_ij with i != j and s = +-1,
+    else None."""
+    off = [(i, j, v) for i, row in enumerate(y) for j, v in enumerate(row) if v != (i == j)]
+    if len(off) == 1 and off[0][0] != off[0][1] and off[0][2] in (1, -1):
+        return off[0]
+    return None
 
-    An elementary image y = I + s e_ij (i != j, s = +-1) adds s times
-    column i to column j, |result| <= 2M for inputs bounded by M.  Any other
-    image is one batched matmul, |result| <= d * M * max|y|, and every
-    partial sum obeys the same bound.
+
+class MatrixBatch:
+    """x -> x * y and y * x for d x d integer matrices packed as int64 rows.
+
+    An elementary y = I + s e_ij (i != j, s = +-1) on the right adds s
+    times column i to column j, |result| <= 2M for inputs bounded by M.
+    Any other product is one batched matmul, |result| <= d * M * max|y|,
+    and every partial sum obeys the same bound.
     """
 
-    def __init__(self, dim: int, images: Sequence[tuple], elementary: Sequence[Optional[tuple]]):
+    def __init__(self, dim: int):
         self.dim = dim
-        # per letter code: (i, j, s) or None, and the image
-        self._letters = list(zip(elementary, images))
-
-    @classmethod
-    def build(cls, dim: int, images: Sequence[tuple], elementary: Sequence[Optional[tuple]]):
-        """None when an image has an entry beyond int64."""
-        if any(abs(v) > INT64_MAX for y in images for row in y for v in row):
-            return None
-        return cls(dim, images, elementary)
 
     def pack(self, x) -> np.ndarray:
         return np.array([sum(x, ())], dtype=np.int64)
 
-    def act(self, rows: np.ndarray, code: int) -> Optional[np.ndarray]:
-        elementary, y = self._letters[code]
+    def right_multiply(self, rows: np.ndarray, y) -> Optional[np.ndarray]:
+        """x -> x * y for any matrix y: one column operation when y is
+        elementary, else one batched matmul."""
+        elementary = _elementary(y)
         if elementary is None:
-            return self.right_multiply(rows, y)
+            Y = self._operand(rows, y)
+            return None if Y is None else np.matmul(rows.reshape(-1, self.dim, self.dim), Y).reshape(rows.shape)
         i, j, s = elementary
         if 2 * max_abs(rows) > INT64_MAX:
             return None
@@ -93,13 +97,9 @@ class MatrixBatch:
         (np.add if s > 0 else np.subtract)(col, rows[:, i::d], out=col)
         return out
 
-    def right_multiply(self, rows: np.ndarray, y) -> Optional[np.ndarray]:
-        """x -> x * y for any matrix y, one batched matmul."""
-        Y = self._operand(rows, y)
-        return None if Y is None else np.matmul(rows.reshape(-1, self.dim, self.dim), Y).reshape(rows.shape)
-
     def left_multiply(self, rows: np.ndarray, y) -> Optional[np.ndarray]:
-        """x -> y * x for any matrix y, bounded as ``right_multiply``."""
+        """x -> y * x for any matrix y, one batched matmul bounded as
+        ``right_multiply``'s."""
         Y = self._operand(rows, y)
         return None if Y is None else np.matmul(Y, rows.reshape(-1, self.dim, self.dim)).reshape(rows.shape)
 
@@ -128,7 +128,8 @@ class MatrixBatch:
 
 
 class DyadicBatch:
-    """x -> x * y for dyadic affine maps packed as int64 rows (k, num, exp).
+    """x -> x * y and y * x for dyadic affine maps packed as int64 rows
+    (k, num, exp).
 
     The product x * y of x = (k1, p1, e1) and y = (k2, p2, e2) has exp
     E = max(e2 - k1, e1, 0) and num = (p2 << (E - e2 + k1)) + (p1 << (E - e1)),
@@ -140,21 +141,8 @@ class DyadicBatch:
     |num| <= (P1 << S) + (P2 << (S - e2_lo + K)).
     """
 
-    def __init__(self, images: Sequence[tuple]):
-        self._images = tuple(images)
-
-    @classmethod
-    def build(cls, images: Sequence[tuple]):
-        """None when an image has a component beyond int64."""
-        if any(abs(v) > INT64_MAX for y in images for v in y):
-            return None
-        return cls(images)
-
     def pack(self, x) -> np.ndarray:
         return np.array([x], dtype=np.int64)
-
-    def act(self, rows: np.ndarray, code: int) -> Optional[np.ndarray]:
-        return self.right_multiply(rows, self._images[code])
 
     def right_multiply(self, rows: np.ndarray, y) -> Optional[np.ndarray]:
         """x -> x * y for any dyadic map y."""
@@ -210,29 +198,22 @@ def _compose(x, y, rows: np.ndarray) -> Optional[np.ndarray]:
 
 
 class FreeBatch:
-    """x -> x * y for reduced words of a free group packed as int64 rows.
+    """x -> x * y and y * x for reduced words of a free group packed as
+    int64 rows.
 
     A row is one column: a leading 1 bit, then the word's letter codes, the
     first letter highest, b = (2 * rank - 1).bit_length() bits each, so a
-    word of length L takes 1 + b * L bits and the identity is 1.  x * c
-    drops the last code of x when it is c ^ 1 and otherwise shifts x left
-    and appends c; c * x cancels or inserts a code just below the leading
-    bit.  Each step lengthens a row by at most b bits, so it is proved from
-    the largest row: it returns None when that row's bit length plus b is
-    past 63.
+    word of length L takes 1 + b * L bits and the identity is 1.  A product
+    by a reduced word y takes one step per code c of y: x * c drops the
+    last code of x when it is c ^ 1 and otherwise shifts x left and appends
+    c; c * x cancels or inserts a code just below the leading bit.  Each
+    step lengthens a row by at most b bits, so it is proved from the largest
+    row: it returns None when that row's bit length plus b is past 63.
     """
 
-    def __init__(self, rank: int, images: Sequence[tuple]):
+    def __init__(self, rank: int):
         self.bits = (2 * rank - 1).bit_length()
         self._mask = (1 << self.bits) - 1
-        self._codes = [c for (c,) in images]
-
-    @classmethod
-    def build(cls, rank: int, images: Sequence[tuple]):
-        """None unless every image is one letter."""
-        if any(len(y) != 1 for y in images):
-            return None
-        return cls(rank, images)
 
     def pack(self, x) -> np.ndarray:
         row = 1
@@ -261,9 +242,6 @@ class FreeBatch:
         one = np.int64(1)
         shortened = (rows & ((one << below) - 1)) | (one << below)
         return np.where(cancel, shortened, rows + (np.int64((1 << b | c) - 1) << top))
-
-    def act(self, rows: np.ndarray, code: int) -> Optional[np.ndarray]:
-        return self._append(rows, self._codes[code])
 
     def right_multiply(self, rows: np.ndarray, y) -> Optional[np.ndarray]:
         """x -> x * y for a reduced word y, one code at a time."""

@@ -7,13 +7,13 @@ vertex's parent chain spells the shortlex-least geodesic word for that
 element, and the ball, parent assignments included, is deterministic.
 
 Layout.  ``ball`` is one loop over layers; each layer is expanded by the
-marked group's batch action on all of the frontier's open neighbour-table
-slots at once.  Vertices are numbered in discovery order, which is already
-shortlex order.  ``parent`` (int32, -1 at the identity), ``letter`` (int8
-letter code of the last letter, -1 at the identity) and ``depth`` (the
-smallest unsigned dtype holding the radius) are numpy arrays; together
-parent and letter are the geodesic tree of the shortlex word acceptor
-(Epstein et al., *Word Processing in Groups*, 1992, ch. 2-3).  A flat
+model's batch action on all of the frontier's open neighbour-table slots
+at once, one product by each letter image.  Vertices are numbered in
+discovery order, which is already shortlex order.  ``parent`` (int32, -1
+at the identity), ``letter`` (int8 letter code of the last letter, -1 at
+the identity) and ``depth`` (the smallest unsigned dtype holding the
+radius) are numpy arrays; together parent and letter are the geodesic
+tree of the shortlex word acceptor (Epstein et al., *Word Processing in Groups*, 1992, ch. 2-3).  A flat
 neighbour table has m = 2|X| columns, row v column c holding the vertex of
 v * letter(c), or -1 outside the ball.  Letter codes c and c ^ 1 are
 mutually inverse, so finding v * letter(c) = w also fills w's slot c ^ 1
@@ -22,17 +22,19 @@ it defines (Holt, Eick and O'Brien, *Handbook of Computational Group
 Theory*, 2005, ch. 5).  The state behind a ball is one of two kinds:
 
 * Packed (``_PackedLayers``), for models with a packed batch action
-  (``IntegerMatrixGroup``, ``DyadicAffineGroup``, and ``FreeGroupModel``
-  marked by single letters; see ``groups``): the elements are the rows of
-  one int64 array.  A layer's products are
-  deduplicated by one ``np.unique`` over int64 row keys of the frontier and
-  the candidates, new vertices kept in first-occurrence order.  This is
-  frontier search (Korf, Zhang, Thayer and Hohwald, J. ACM 52(5), 2005): the
-  marking is symmetric, so the open slots of layer r - 1 lead only into
-  layers r - 1 and r, every edge towards r - 2 having been filled from the
-  other side.  An edge between two frontier rows is open at both ends and
-  computed from both; an edge into layer r is computed once.  ``elements``,
-  ``keys_shortlex`` and ``index`` are decoded from the rows on first use.
+  (``IntegerMatrixGroup``, ``DyadicAffineGroup`` and ``FreeGroupModel``,
+  under any marking; see ``groups``): the elements are the rows of one
+  int64 array.  The frontier rows with an open slot for letter c are
+  multiplied by c's image through ``right_multiply``, the product every
+  scan uses too.  A layer's products are deduplicated by one ``np.unique``
+  over int64 row keys of the frontier and the candidates, new vertices
+  kept in first-occurrence order.  This is frontier search (Korf, Zhang,
+  Thayer and Hohwald, J. ACM 52(5), 2005): the marking is symmetric, so
+  the open slots of layer r - 1 lead only into layers r - 1 and r, every
+  edge towards r - 2 having been filled from the other side.  An edge
+  between two frontier rows is open at both ends and computed from both;
+  an edge into layer r is computed once.  ``elements``, ``keys_shortlex``
+  and ``index`` are decoded from the rows on first use.
   ``select(row_filter)`` decodes only the rows that a filter on the int64
   rows passes, so a scan for a few subgroup members decodes those alone;
   ``elements_at`` decodes only the vertices asked for, and ``packed_rows``
@@ -47,8 +49,8 @@ Theory*, 2005, ch. 5).  The state behind a ball is one of two kinds:
   reverse slot filled at once, so that an edge found from one end is never
   multiplied from the other.
 
-Other models (braid groups, direct products, tables, free groups marked
-by longer words) stay element by element, holding one product at a time.
+Other models (braid groups, direct products, tables) stay element by
+element, holding one product at a time.
 A frontier search over (element, key) rows, measured when free2 still ran
 element by element, gave the same balls but held a whole layer's products:
 the free2 r=10 centralizer report peaked at 141 MB against 74 MB, and
@@ -356,7 +358,7 @@ class _PackedLayers:
 
     @classmethod
     def start(cls, G: MarkedGroup) -> Optional["_PackedLayers"]:
-        batch = G.batch_action()
+        batch = G.model.batch_action()
         return None if batch is None else cls(G, batch)
 
     def elements(self) -> list:
@@ -395,10 +397,11 @@ class _PackedLayers:
         slots = np.flatnonzero(table_f.ravel() == _UNKNOWN)
         src, code = np.divmod(slots, m)
         cand = np.empty((len(slots), rows_f.shape[1]), dtype=np.int64)
+        image = self.G.letter_image_by_code
         for c in range(m):
             sel = np.flatnonzero(code == c)
             if len(sel):
-                out = self.batch.act(rows_f[src[sel]], c)
+                out = self.batch.right_multiply(rows_f[src[sel]], image(c))
                 if out is None:
                     return None
                 cand[sel] = out

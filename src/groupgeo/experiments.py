@@ -164,11 +164,14 @@ def group_from_config(config: dict) -> MarkedGroup:
     (entries may be decimal integer strings of any width), ``strands`` for
     braids (marking entries are Artin generator indices), ``factors`` for
     products (sub-configs; their alphabets concatenate and the marking is
-    implicit).  ``marking`` may be omitted for free groups and braids, where
-    the standard generators are used.  A missing field or a generator with
-    no marking raises KeyError naming it.
+    implicit).  Free groups take the standard generators and no
+    ``marking``; braids may omit it.  A missing field, a generator with no
+    marking, or a ``marking`` on a free or product config raises KeyError
+    naming it.
     """
     kind = _required(config, "kind")
+    if kind in ("free", "product") and "marking" in config:
+        raise KeyError(f"unexpected field 'marking' for kind {kind!r}")
     name = config.get("name")
     names = tuple(config.get("alphabet", ()))
     marking_data: dict = config.get("marking", {})

@@ -24,35 +24,35 @@ override took 115-124 ns against 237-240 ns for ``multiply`` on free2's
 B(6), but a column operation for heis3's elementary letters 612-781 ns
 against 600-660 ns, so matrices keep the default.
 
-Batch actions.  Ball enumeration expands a whole layer at once through
-``MarkedGroup.batch_action()``, which the model builds from the letter
-images on first use (``GroupModel.batch_action``) and the marked group
-keeps.  Three models have a packed one (module ``_packed``), acting on
+Batch actions.  Ball enumeration expands a whole layer at once through the
+model's ``batch_action()``, which depends on the model alone, not on the
+marking.  Three models have a packed one (module ``_packed``), acting on
 int64 rows, one row per element:
 
-* ``IntegerMatrixGroup``: the d*d entries in row-major order; an elementary
-  letter is one column operation on the whole array, any other letter one
-  batched matmul.
+* ``IntegerMatrixGroup``: the d*d entries in row-major order; a product by
+  an elementary matrix on the right is one column operation on the whole
+  array, any other product one batched matmul.
 * ``DyadicAffineGroup``: the columns (k, num, exp); a product is a few
   vectorised shifts, and normalisation counts trailing zeros on
   ``num & -num`` with exact integer operations.
-* ``FreeGroupModel``, when every letter image is one letter: a leading 1
-  bit, then one fixed-width code per letter; a product drops the last code
-  or shifts and appends one.
+* ``FreeGroupModel``: a leading 1 bit, then one fixed-width code per
+  letter; a product by a word drops the last code or shifts and appends
+  one, once per letter of the word.
 
-Every packing is canonical, so equal rows are equal elements, and a packed
-batch action also multiplies rows by an arbitrary element on either side
-(``right_multiply``, ``left_multiply``), which lets a scan test a whole
-layer of a ball at once.
+Every packing is canonical, so equal rows are equal elements.  A packed
+batch action has one product per side, ``right_multiply(rows, y)`` and
+``left_multiply(rows, y)`` for an arbitrary element y: enumeration passes
+it the letter images, and a scan tests a whole layer of a ball at once.
 
-The int64 bound rule: before acting, a batch action proves from the
-largest |entry| M of its input rows that no result overflows, with
-|result| <= 2M for an elementary letter and <= d * M * max|y| for a matmul
+The int64 bound rule: before each product, a batch action proves from y
+and the largest |entry| M of its input rows that no result overflows, with
+|result| <= 2M for an elementary matrix and <= d * M * max|y| for a matmul
 (``DyadicBatch`` states its bound on num, ``FreeBatch`` on the bit length).
-When the proof fails it returns None and enumeration goes on element by
-element over Python integers, so no wrapped integer is ever stored.  Every
-other model returns None from the start: its batch action is the default,
-one ``right_action`` call per open slot.
+When the proof fails, as it does at once for a y with an entry beyond
+int64, it returns None and enumeration goes on element by element over
+Python integers, so no wrapped integer is ever stored.  Every other model
+returns None from the start: its batch action is the default, one
+``right_action`` call per open slot.
 
 General products.  ``multiply`` and ``invert`` of arbitrary elements (the
 combing checks, conjugacy tests, ``evaluate`` of inverse letters) cost what
@@ -104,8 +104,8 @@ class GroupModel(ABC):
         each call."""
         return lambda x: self.multiply(x, y)
 
-    def batch_action(self, images: Sequence[Element]):
-        """The packed batch action for these letter images, or None: ball
+    def batch_action(self):
+        """The packed batch action of this model's elements, or None: ball
         enumeration then expands each layer element by element through
         ``right_action``."""
         return None
@@ -285,22 +285,10 @@ class IntegerMatrixGroup(GroupModel):
             return tuple(tuple(-v for v in row) for row in adj)
         raise ValueError("matrix is not invertible over the integers")
 
-    def batch_action(self, images):
+    def batch_action(self):
         from ._packed import MatrixBatch
 
-        return MatrixBatch.build(self.dim, images, [self._elementary(y) for y in images])
-
-    def _elementary(self, y) -> Optional[tuple[int, int, int]]:
-        """(i, j, s) when y = I + s e_ij with i != j and s = +-1, else None."""
-        off = [
-            (i, j, v)
-            for i, row in enumerate(y)
-            for j, v in enumerate(row)
-            if v != (i == j)
-        ]
-        if len(off) == 1 and off[0][0] != off[0][1] and off[0][2] in (1, -1):
-            return off[0]
-        return None
+        return MatrixBatch(self.dim)
 
     def canonical_key(self, x) -> bytes:
         return self._key_format % sum(x, ())
@@ -351,10 +339,10 @@ class DyadicAffineGroup(GroupModel):
     def canonical_key(self, x) -> bytes:
         return b"d%d,%d,%d" % x
 
-    def batch_action(self, images):
+    def batch_action(self):
         from ._packed import DyadicBatch
 
-        return DyadicBatch.build(images)
+        return DyadicBatch()
 
     def apply(self, x, value):
         from fractions import Fraction
@@ -403,10 +391,10 @@ class FreeGroupModel(GroupModel):
     def invert(self, x):
         return tuple([c ^ 1 for c in reversed(x)])
 
-    def batch_action(self, images):
+    def batch_action(self):
         from ._packed import FreeBatch
 
-        return FreeBatch.build(self.rank, images)
+        return FreeBatch(self.rank)
 
     def canonical_key(self, x) -> bytes:
         if self._byte_codes:
@@ -451,9 +439,6 @@ class DirectProduct(GroupModel):
         return self._key_format % tuple(args)
 
 
-_UNBUILT = object()
-
-
 @dataclass
 class MarkedGroup:
     """A group model with an ordered marking of an alphabet by elements.
@@ -472,7 +457,6 @@ class MarkedGroup:
     _letter_images: tuple = field(init=False, repr=False, default=())
     # x -> x * letter_image_by_code(c), one per letter code c
     letter_actions: tuple = field(init=False, repr=False, compare=False, default=())
-    _batch: Any = field(init=False, repr=False, compare=False, default=_UNBUILT)
 
     def __post_init__(self):
         if len(self.marking) != len(self.alphabet):
@@ -486,14 +470,6 @@ class MarkedGroup:
 
     def letter_image_by_code(self, code: int) -> Element:
         return self._letter_images[code]
-
-    def batch_action(self):
-        """The model's packed batch action on the letter images, or None;
-        built on first use, so a marked group costs nothing until a ball is
-        enumerated."""
-        if self._batch is _UNBUILT:
-            self._batch = self.model.batch_action(self._letter_images)
-        return self._batch
 
     @property
     def identity_key(self) -> bytes:

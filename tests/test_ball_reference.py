@@ -119,6 +119,15 @@ def _matrix(dim, *gens):
     })
 
 
+def _free_marked(*words):
+    """The free group on x, y marked by these words (repeats and the empty
+    word allowed), one letter a, b, c, ... per word."""
+    G = get_group("free2")
+    names = tuple("abcdefgh"[:len(words)])
+    marking = tuple(evaluate(G.alphabet.parse_word(w), G) for w in words)
+    return MarkedGroup(model=G.model, alphabet=Alphabet(names), marking=marking)
+
+
 def _dyadic(*triples):
     names = "abcdefgh"[:len(triples)]
     return group_from_config({
@@ -139,13 +148,24 @@ CONFIGS = {
         [[1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]), 5),
     # a finite group: the order-4 rotation exhausts at radius 2
     "matrix_finite": (lambda: _matrix(2, [[0, -1], [1, 0]]), 4),
+    # a letter image with an entry past int64: no layer has a proof
+    "matrix_past_int64": (lambda: _matrix(2, [[1, 2 ** 64], [0, 1]], [[1, 0], [1, 1]]), 4),
     "dyadic_x3_4x": (lambda: _dyadic((0, 3, 0), (2, 0, 0)), 7),
     "dyadic_half": (lambda: _dyadic((0, 1, 1), (1, 0, 0), (1, 1, 0)), 5),
     "dyadic_negative_k": (lambda: _dyadic((-1, 1, 0), (0, 1, 2)), 6),
+    "dyadic_past_int64": (lambda: _dyadic((0, 2 ** 64 + 1, 0), (1, 0, 0)), 4),
     # free groups on their standard markings, 1, 2 and 3 bits per code
     "free1": (lambda: group_from_config({"kind": "free", "alphabet": ["x"]}), 12),
     "free2": (lambda: group_from_config({"kind": "free", "alphabet": ["x", "y"]}), 6),
     "free3": (lambda: group_from_config({"kind": "free", "alphabet": ["x", "y", "z"]}), 4),
+    # free markings by longer words, a repeated letter and an identity letter
+    "free_x2_xy": (lambda: _free_marked("x x", "x y"), 7),
+    "free_xyX_y": (lambda: _free_marked("x y x^-1", "y"), 6),
+    "free_x3_y2": (lambda: _free_marked("x x x", "y y"), 6),
+    "free_x_x": (lambda: _free_marked("x", "x"), 7),
+    "free_1_x": (lambda: _free_marked("", "x"), 7),
+    # 20 bits per letter: layer 4 has no int64 proof and runs on tuples
+    "free_x10_y10": (lambda: _free_marked(" ".join(["x"] * 10), " ".join(["y"] * 10)), 4),
     "product": (lambda: group_from_config({
         "kind": "product",
         "factors": [
@@ -169,8 +189,13 @@ class TestAgainstReference:
         _assert_same_ball(make(), radius)
 
     def test_configs_cover_both_paths(self):
-        packed = {c for c, (make, _) in CONFIGS.items() if make().batch_action() is not None}
+        packed = {c for c, (make, _) in CONFIGS.items() if make().model.batch_action() is not None}
         assert packed == set(CONFIGS) - {"product"}
+        fallen = {
+            c for c in packed
+            if isinstance(cayley.ball(CONFIGS[c][0](), CONFIGS[c][1])._layers, cayley._ElementLayers)
+        }
+        assert fallen == {"matrix_past_int64", "dyadic_past_int64", "free_x10_y10"}
 
     @pytest.mark.parametrize("group, word", [
         ("heis3", "a b a"), ("bs12", "t a t^-1"), ("sl2z", "a b a"), ("free2", "x y"),
@@ -192,17 +217,18 @@ class TestClosedForms:
         ]
 
 
-def _count_batch_rows(G):
-    """Wrap G's batch action; the list holds the rows passed to it so far."""
+def _count_batch_rows(G, monkeypatch):
+    """Wrap ``right_multiply`` of G's batch action class; the list holds the
+    rows passed to it so far."""
     rows = [0]
-    batch = G.batch_action()
-    act = batch.act
+    cls = type(G.model.batch_action())
+    right_multiply = cls.right_multiply
 
-    def counted(x, code):
+    def counted(self, x, y):
         rows[0] += len(x)
-        return act(x, code)
+        return right_multiply(self, x, y)
 
-    batch.act = counted
+    monkeypatch.setattr(cls, "right_multiply", counted)
     return rows
 
 
@@ -215,11 +241,11 @@ def _reference_word(ref, v):
 
 
 class TestInt64Boundary:
-    def test_matrix_entries_near_2_62(self):
+    def test_matrix_entries_near_2_62(self, monkeypatch):
         # a's image has an entry of 2^62 - 1: layer 1 is packed, and the
         # products of layer 2 have no int64 proof, so they run on Python ints
         G = _matrix(2, [[1, 2 ** 62 - 1], [0, 1]], [[1, 0], [1, 1]])
-        rows = _count_batch_rows(G)
+        rows = _count_batch_rows(G, monkeypatch)
         idx, _ = _assert_same_ball(G, 4)
         assert rows[0] > 0
         assert max(abs(v) for g in idx.elements for row in g for v in row) > INT64_MAX
@@ -228,55 +254,61 @@ class TestInt64Boundary:
         ((0, 2 ** 61 + 1, 0), (1, 0, 0)),  # num grows past 2^63
         ((0, 1, 60), (1, 0, 0)),           # exp grows past 62
     ])
-    def test_dyadic_num_and_exp_grow(self, marking):
+    def test_dyadic_num_and_exp_grow(self, marking, monkeypatch):
         G = _dyadic(*marking)
-        rows = _count_batch_rows(G)
+        rows = _count_batch_rows(G, monkeypatch)
         idx, _ = _assert_same_ball(G, 5)
         assert rows[0] > 0
         assert any(abs(num) > INT64_MAX or exp > 62 for _, num, exp in idx.elements)
 
     def test_elementary_bound_is_2M(self):
-        batch = MatrixBatch(2, [((1, 1), (0, 1))], [(0, 1, 1)])
+        y = ((1, 1), (0, 1))
+        batch = MatrixBatch(2)
         top = 2 ** 62 - 1
         rows = np.array([[top, top, -top, 5]], dtype=np.int64)
-        assert batch.act(rows, 0).tolist() == [[top, 2 * top, -top, 5 - top]]
+        assert batch.right_multiply(rows, y).tolist() == [[top, 2 * top, -top, 5 - top]]
         rows[0, 2] = -(2 ** 62)  # M = 2^62: 2M is past int64
-        assert batch.act(rows, 0) is None
+        assert batch.right_multiply(rows, y) is None
+        # at d = 3 the matmul bound 3M is past int64 but the column
+        # operation's 2M is not: right_multiply picks the column operation
+        # for an elementary y, and left_multiply, a matmul, has no proof
+        y3 = ((1, 0, 0), (0, 1, 0), (-1, 0, 1))  # column 0 minus column 2
+        rows3 = np.array([[top, 0, 0, 0, top, 0, top, 0, top]], dtype=np.int64)
+        assert MatrixBatch(3).right_multiply(rows3, y3).tolist() == [[top, 0, 0, 0, top, 0, 0, 0, top]]
+        assert MatrixBatch(3).left_multiply(rows3, y3) is None
 
     def test_matmul_bound_is_d_M_max_y(self):
         y = ((2, 3), (1, 2))
-        batch = MatrixBatch(2, [y], [None])
+        batch = MatrixBatch(2)
         M = INT64_MAX // 6  # d * M * max|y| = 6M
         rows = np.array([[M, -M, M, M]], dtype=np.int64)
-        assert batch.act(rows, 0).tolist() == [[2 * M - M, 3 * M - 2 * M, 3 * M, 5 * M]]
-        assert batch.act(rows + np.array([[1, 0, 0, 0]]), 0) is None
+        assert batch.right_multiply(rows, y).tolist() == [[2 * M - M, 3 * M - 2 * M, 3 * M, 5 * M]]
+        assert batch.right_multiply(rows + np.array([[1, 0, 0, 0]]), y) is None
 
     def test_dyadic_bound(self):
-        batch = DyadicBatch([(0, INT64_MAX - 2 ** 61, 0), (0, 3 * 2 ** 61, 0)])
+        batch = DyadicBatch()
         rows = np.array([[0, 2 ** 61, 0]], dtype=np.int64)
-        assert batch.act(rows, 0).tolist() == [[0, INT64_MAX, 0]]
-        assert batch.act(rows, 1) is None  # 2^61 + 3 * 2^61 = 2^63
+        assert batch.right_multiply(rows, (0, INT64_MAX - 2 ** 61, 0)).tolist() == [[0, INT64_MAX, 0]]
+        assert batch.right_multiply(rows, (0, 3 * 2 ** 61, 0)) is None  # 2^61 + 3 * 2^61 = 2^63
 
     def test_free_rows_up_to_63_bits(self):
         # rank 2 takes 2 bits per code: a word of length 30 is 61 bits and
         # acts, one of length 31 is 63 bits and has no proof
         model = FreeGroupModel(2)
-        batch = FreeBatch.build(2, [(0,), (1,), (2,), (3,)])
+        batch = FreeBatch(2)
         w30, w31 = (0, 2) * 15, (0, 2) * 15 + (0,)
         rows30, rows31 = batch.pack(w30), batch.pack(w31)
         assert (int(rows30[0, 0]).bit_length(), int(rows31[0, 0]).bit_length()) == (61, 63)
         for code in range(4):
             y = (code,)
-            assert batch.unpack(batch.act(rows30, code)) == [model.multiply(w30, y)]
             assert batch.unpack(batch.right_multiply(rows30, y)) == [model.multiply(w30, y)]
             assert batch.unpack(batch.left_multiply(rows30, y)) == [model.multiply(y, w30)]
             # no proof even where the product would cancel a code
-            assert batch.act(rows31, code) is None
             assert batch.right_multiply(rows31, y) is None
             assert batch.left_multiply(rows31, y) is None
         assert batch.unpack(np.concatenate((rows30, rows31))) == [w30, w31]
 
-    def test_free_words_past_63_bits_run_on_tuples(self):
+    def test_free_words_past_63_bits_run_on_tuples(self, monkeypatch):
         # rank 2^30 takes 31 bits per code: layers 1 and 2 are packed, the
         # products of layer 2 have no proof
         model = FreeGroupModel(2 ** 30)
@@ -284,27 +316,27 @@ class TestInt64Boundary:
             model=model, alphabet=Alphabet(("a", "b")),
             marking=(model.generator(0), model.generator(2 ** 30 - 1)),
         )
-        rows = _count_batch_rows(G)
+        rows = _count_batch_rows(G, monkeypatch)
         idx, _ = _assert_same_ball(G, 4)
         assert rows[0] > 0
         assert isinstance(idx._layers, cayley._ElementLayers)
 
-    def test_free_images_of_other_lengths_are_not_packed(self):
-        model = FreeGroupModel(2)
-        assert model.batch_action([(0,), (1,), (0, 2), (3, 1)]) is None
-        assert model.batch_action([(0,), (1,), (), ()]) is None
-        assert model.batch_action([(0,), (1,), (0,), (1,)]) is not None
+    def test_free_images_of_any_length_are_packed(self):
+        # longer words, the identity and a repeated letter
+        for words in [("x", "x y"), ("x", ""), ("x", "x")]:
+            idx = cayley.ball(_free_marked(*words), 3)
+            assert isinstance(idx._layers, cayley._PackedLayers)
 
     def test_dyadic_normalises_exactly(self):
         G = get_group("bs12")
-        batch = G.batch_action()
+        batch = G.model.batch_action()
         model = G.model
         xs = [model.element(k, num, exp) for k in (-3, 0, 2)
               for num in (-12, -1, 0, 1, 6, 40) for exp in (0, 1, 3)]
         rows = np.array(xs, dtype=np.int64)
         for code in range(4):
             y = G.letter_image_by_code(code)
-            assert batch.unpack(batch.act(rows, code)) == [model.multiply(x, y) for x in xs]
+            assert batch.unpack(batch.right_multiply(rows, y)) == [model.multiply(x, y) for x in xs]
 
 
 class TestCaps:
@@ -442,7 +474,7 @@ class TestRowProducts:
 
     @staticmethod
     def _check(G, xs, ys):
-        batch = G.batch_action()
+        batch = G.model.batch_action()
         rows = np.concatenate([batch.pack(x) for x in xs])
         multiply = G.model.multiply
         for y in ys:
@@ -474,7 +506,7 @@ class TestRowProducts:
     def test_free_unpack_round_trip(self):
         # more rows of one length than one decode block, in length order
         # and shuffled
-        batch = FreeBatch.build(2, [(0,), (1,), (2,), (3,)])
+        batch = FreeBatch(2)
         rng = random.Random(5)
         xs = sorted(
             (_random_free_word(rng, 2, n) for n in [9] * 9000 + [3] * 50 + [0]), key=len
@@ -487,7 +519,7 @@ class TestRowProducts:
 
     def test_matrix_bound_is_d_M_max_y(self):
         G = get_group("sl2z")
-        batch = G.batch_action()
+        batch = G.model.batch_action()
         M = INT64_MAX // 6  # d * M * max|y| = 6M
         rows = np.array([[M, 0, 0, 1]], dtype=np.int64)
         y = ((2, 3), (1, 2))
@@ -503,7 +535,7 @@ class TestRowProducts:
 
     def test_dyadic_bound(self):
         G = get_group("bs12")
-        batch, model = G.batch_action(), G.model
+        batch, model = G.model.batch_action(), G.model
         x = (0, 2 ** 61, 0)
         rows = np.array([x], dtype=np.int64)
         fits, past = (0, INT64_MAX - 2 ** 61, 0), (0, 3 * 2 ** 61, 0)

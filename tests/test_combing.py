@@ -443,7 +443,7 @@ class TestRowScan:
         ]
         assert [row["gamma"] for row in got.witnesses["conjugators"]] == gammas
         # the report decodes only the rows of its members' lines
-        assert (rows_ball.packed_rows() is None) == (G.batch_action() is None)
+        assert (rows_ball.packed_rows() is None) == (G.model.batch_action() is None)
 
     @pytest.mark.parametrize("name", sorted(CRITERION5_RADII))
     def test_scans_match_on_conjugates(self, name):

@@ -393,7 +393,14 @@ class TestCli:
         ({"kind": "table", "alphabet": ["a"], "table": [[0]]}, "missing field 'names'"),
         ({"kind": "matrix", "dim": 2, "alphabet": ["a"], "marking": {}},
          "generator 'a' has no marking"),
-    ], ids=["kind", "factor-kind", "names", "marking"])
+        ({"kind": "free", "alphabet": ["a", "b"], "marking": {"b": "junk"}},
+         "unexpected field 'marking' for kind 'free'"),
+        ({"kind": "product", "factors": [{"kind": "free", "alphabet": ["x"]}], "marking": {}},
+         "unexpected field 'marking' for kind 'product'"),
+        ({"kind": "product", "factors": [{"kind": "free", "alphabet": ["x"], "marking": {"x": "y"}}]},
+         "unexpected field 'marking' for kind 'free'"),
+    ], ids=["kind", "factor-kind", "names", "marking", "free-marking", "product-marking",
+            "factor-free-marking"])
     def test_config_error_names_file_and_field(self, config, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.json").write_text(json.dumps(config))

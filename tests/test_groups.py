@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from groupgeo import _packed
 from groupgeo.errors import BadCosetRep, MissingPresentation
 from groupgeo.experiments import get_group
 from groupgeo.groups import (
@@ -365,7 +366,7 @@ class TestLetterActions:
 
     def test_sl2z_letters_are_not_elementary(self):
         G = get_group("sl2z")
-        assert all(G.model._elementary(a) is None for a in G._letter_images)
+        assert all(_packed._elementary(a) is None for a in G._letter_images)
 
     @given(
         st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from((1, -1))),

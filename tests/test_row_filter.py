@@ -33,16 +33,17 @@ def _unfiltered(G, H):
 
 
 def _count_unpacked_rows(G, monkeypatch):
-    """Wrap G's batch ``unpack``; the list holds the row count of each call."""
+    """Wrap ``unpack`` of G's batch action class; the list holds the row
+    count of each call."""
     calls = []
-    batch = G.batch_action()
-    unpack = batch.unpack
+    cls = type(G.model.batch_action())
+    unpack = cls.unpack
 
-    def counted(rows):
+    def counted(self, rows):
         calls.append(len(rows))
-        return unpack(rows)
+        return unpack(self, rows)
 
-    monkeypatch.setattr(batch, "unpack", counted)
+    monkeypatch.setattr(cls, "unpack", counted)
     return calls
 
 
@@ -107,7 +108,7 @@ def _reject_all(rows):
 def test_unpacked_ball_ignores_filter(group):
     G = get_group(group)
     idx = cayley.ball(G, 3)
-    assert G.batch_action() is None
+    assert G.model.batch_action() is None
     vertices, elements = idx.select(_reject_all)
     assert list(vertices) == list(range(len(idx)))
     assert elements is idx.elements
@@ -120,7 +121,7 @@ def test_fallen_back_ball_ignores_filter():
         "kind": "matrix", "dim": 2, "alphabet": ["a", "b"],
         "marking": {"a": [["1", str(2 ** 62 - 1)], ["0", "1"]], "b": [["1", "0"], ["1", "1"]]},
     })
-    assert G.batch_action() is not None
+    assert G.model.batch_action() is not None
     idx = cayley.ball(G, 2)
     assert isinstance(idx._layers, cayley._ElementLayers)
     vertices, elements = idx.select(_reject_all)
