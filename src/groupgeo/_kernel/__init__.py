@@ -1,10 +1,9 @@
 """Kernel selection: the compiled all-pairs BFS when it is built, the numpy
-fallback otherwise.  The compiled BFS (``_bfs.c``) is bit-parallel: each
-sweep runs 512 searches as 512-bit vertex sets and fills 512 columns of a
-numpy matrix that ``_ops_c`` allocates.  Both kernels share the Python
-``free_reduce``, the CSR check and the numpy ``max_bounded_defect``; the
-fallback BFS runs the library's one Python BFS,
-``_ops_py.multi_source_distances``, per source.
+fallback otherwise.  Both BFS kernels are bit-parallel: each sweep runs its
+searches as vertex bitsets and fills that many columns of an n x n uint8
+matrix.  The compiled loop (``_bfs.c``) runs 512 searches a sweep, the
+numpy fallback (``_ops_py.all_pairs_bfs``) 128.  Both kernels share the
+Python ``free_reduce``, the CSR check and the numpy ``max_bounded_defect``.
 
 Set ``GROUPGEO_PURE_PYTHON=1`` to force the fallback (used by the benchmark
 and by tests that compare the two implementations).

@@ -6,7 +6,9 @@
  * caller (_ops_c passes a numpy array).  It fills out[v*n + s] with the
  * distance along out-edges from v to s, 255 where s is unreachable from v,
  * and raises when a distance is above 254.  It has the contract of the numpy
- * fallback _ops_py.all_pairs_bfs, and the tests compare the two.
+ * fallback _ops_py.all_pairs_bfs, which runs the same sweep with whole-array
+ * steps and 128 searches at a time, and the tests check both against a
+ * numpy BFS per source.
  *
  * The BFS is bit-parallel (Then et al., "The More the Merrier: Efficient
  * Multi-Source Graph Traversal", PVLDB 8(4), 2014).  One sweep runs BATCH =

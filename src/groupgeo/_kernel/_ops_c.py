@@ -1,8 +1,10 @@
 """Compiled kernel: the C all-pairs BFS of ``_bfs.c`` next to the shared
 ``free_reduce``, ``max_bounded_defect`` and CSR check of ``_ops_py``.
 
-The C loop is a bit-parallel BFS that fills 512 columns of the distance
-matrix per sweep, writing into an n x n uint8 array allocated here.
+The C loop is the bit-parallel BFS that ``_ops_py.all_pairs_bfs`` runs in
+numpy, with sweeps of 512 sources instead of 128 and one pass per vertex
+in place of whole-array steps.  It fills the columns of each sweep in an
+n x n uint8 array allocated here.
 
 Importing this module raises ImportError when the extension is not built.
 """

@@ -2,10 +2,10 @@
 
 ``free_reduce``, ``max_bounded_defect`` and the CSR check ``check_csr`` are
 the only implementations and serve both kernels.  ``multi_source_distances``
-is the library's one Python BFS: the quasi-convexity checks call it on a
-ball's neighbour table, and the fallback ``all_pairs_bfs`` calls it once per
-source.  The fallback and the compiled BFS in ``_bfs.c`` are tested against
-each other.
+is the library's BFS over a ball's neighbour table, which the
+quasi-convexity checks call.  The fallback ``all_pairs_bfs`` is the numpy
+form of the compiled bit-parallel BFS in ``_bfs.c``, with sweeps of 128
+sources instead of 512; the tests check both against a BFS per source.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 
 UNREACHED = 255
 BLOCK_ROWS = 16  # rows of the defect recurrence filled per numpy step
+SWEEP_WORDS = 2  # uint64 words per bitset of the fallback BFS: 128 sources a sweep
 
 
 def free_reduce(codes):
@@ -74,22 +75,56 @@ def multi_source_distances(table: np.ndarray, sources: Sequence[int]) -> np.ndar
 def all_pairs_bfs(indptr, nbrs, n):
     """All-pairs BFS distances on an unweighted graph in CSR form.
 
-    Row ``src`` holds the distances along out-edges from ``src``, so
-    directed graphs are handled.  Returns a uint8 matrix; unreachable pairs
-    hold 255.  Distances above 254 are not representable and raise.
+    Row ``v`` holds the distances along out-edges from ``v``, so directed
+    graphs are handled.  Returns a uint8 matrix; unreachable pairs hold 255.
+    Distances above 254 are not representable and raise.
+
+    The numpy form of ``_bfs.c``'s bit-parallel BFS: a sweep runs the
+    searches from ``SWEEP_WORDS * 64`` sources at once as little-endian
+    uint64 bitsets, one row per vertex plus a zero row n that the padded
+    out-neighbour table points at.  A level ORs ``cur`` over each vertex's
+    out-neighbours and keeps the bits not yet seen, so bit i new in row v
+    at level d says d(v, s0 + i) = d.  Each level unpacks the new bits to
+    one byte per vertex and source, the largest array besides the matrix:
+    the width of a sweep sets the working memory, not only its speed.
     """
     indptr, nbrs = check_csr(indptr, nbrs, n)
-    # out-neighbour table: row u lists nbrs[indptr[u]:indptr[u+1]], padded with -1
+    # out-neighbour table, one row per column slot: entry (j, v) is v's j-th
+    # out-neighbour, or n when v has fewer than j + 1
     deg = np.diff(indptr)
-    table = np.full((n, int(deg.max(initial=0))), -1, dtype=np.int32)
-    table[np.arange(n).repeat(deg), np.arange(len(nbrs)) - indptr[:-1].repeat(deg)] = nbrs
-    dist = np.empty((n, n), dtype=np.uint8)
-    for src in range(n):
-        row = multi_source_distances(table, [src])
-        if row.max() >= UNREACHED:
-            raise ValueError("graph diameter exceeds uint8 range")
-        row[row < 0] = UNREACHED
-        dist[src] = row
+    table = np.full((int(deg.max(initial=0)), n), n, dtype=np.intp)
+    table[np.arange(len(nbrs)) - indptr[:-1].repeat(deg), np.arange(n).repeat(deg)] = nbrs
+    dist = np.full((n, n), UNREACHED, dtype=np.uint8)
+    cur = np.zeros((n + 1, SWEEP_WORDS), dtype="<u8")
+    nxt = np.zeros_like(cur)
+    seen = np.empty((n, SWEEP_WORDS), dtype="<u8")
+    tmp = np.empty((n, SWEEP_WORDS), dtype="<u8")
+    for s0 in range(0, n, 64 * SWEEP_WORDS):
+        m = min(64 * SWEEP_WORDS, n - s0)
+        bit = np.arange(m, dtype=np.uint64)
+        cur[:n] = 0
+        cur[s0 + bit, bit // 64] = 1 << (bit % 64)
+        seen[:] = cur[:n]
+        dist[s0 + bit, s0 + bit] = 0
+        cols = dist[:, s0:s0 + m]
+        for d in range(1, UNREACHED + 1):
+            new = nxt[:n]
+            new[:] = 0
+            for col in table:
+                # in range by check_csr; "clip" lets take write to out unbuffered
+                np.take(cur, col, axis=0, out=tmp, mode="clip")
+                new |= tmp
+            np.invert(seen, out=tmp)
+            new &= tmp
+            if not new.any():
+                break
+            if d >= UNREACHED:
+                raise ValueError("graph diameter exceeds uint8 range")
+            seen |= new
+            # the mask is a temporary, so that two levels' masks never coexist
+            np.copyto(cols, np.uint8(d), where=np.unpackbits(
+                new.view(np.uint8), axis=1, count=m, bitorder="little").view(bool))
+            cur, nxt = nxt, cur
     return dist
 
 

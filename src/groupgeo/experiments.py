@@ -236,8 +236,8 @@ def group_from_config(config: dict) -> MarkedGroup:
 
 
 def resolve_group(spec: str) -> MarkedGroup:
-    """A zoo name, or a path to a JSON group config; a KeyError from the
-    config names the file."""
+    """A zoo name, or a path to a JSON group config; a KeyError or
+    ValueError from the config, malformed JSON included, names the file."""
     if spec in _ZOO:
         return _ZOO[spec]()
     try:
@@ -245,12 +245,14 @@ def resolve_group(spec: str) -> MarkedGroup:
     except FileNotFoundError:
         raise KeyError(f"unknown group {spec!r}: not a zoo name "
                        f"({', '.join(zoo_names())}) and no such file") from None
-    with fh:
-        config = json.load(fh)
     try:
+        with fh:
+            config = json.load(fh)
         return group_from_config(config)
     except KeyError as exc:
         raise KeyError(f"group config {spec}: {exc.args[0]}") from None
+    except ValueError as exc:
+        raise ValueError(f"group config {spec}: {exc}") from None
 
 
 # --------------------------------------------------------------------------

@@ -399,10 +399,15 @@ class TestCli:
          "unexpected field 'marking' for kind 'product'"),
         ({"kind": "product", "factors": [{"kind": "free", "alphabet": ["x"], "marking": {"x": "y"}}]},
          "unexpected field 'marking' for kind 'free'"),
+        ({"kind": "nope", "alphabet": ["a"]}, "unknown group kind 'nope'"),
+        ({"kind": "matrix", "dim": 2, "alphabet": ["a"], "marking": {"a": [[2, 0], [0, 1]]}},
+         "matrix is not invertible over the integers"),
+        ('{"kind": ', "Expecting value: line 1 column 10 (char 9)"),
     ], ids=["kind", "factor-kind", "names", "marking", "free-marking", "product-marking",
-            "factor-free-marking"])
+            "factor-free-marking", "unknown-kind", "determinant-2", "truncated-json"])
     def test_config_error_names_file_and_field(self, config, message, tmp_path, monkeypatch, capsys):
+        # a config given as a string is written as it is, malformed or not
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        (tmp_path / "cfg.json").write_text(config if isinstance(config, str) else json.dumps(config))
         assert cli.main(["ball", "--group", "cfg.json", "--radius", "2"]) == 2
         assert capsys.readouterr().err == f"error: group config cfg.json: {message}\n"

@@ -1,9 +1,10 @@
-"""Kernel tests: the compiled BFS against the fallback BFS, and the shared
-defect recurrence against the O(n^2 T) definition."""
+"""Kernel tests: both all-pairs BFS kernels against a numpy BFS per source,
+and the shared defect recurrence against the O(n^2 T) definition."""
 
 import os
 import shutil
 import sysconfig
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,21 @@ def _have_c_toolchain():
     return bool(cc) and shutil.which(cc[0]) is not None and os.path.isfile(header)
 
 
+def reference_all_pairs_bfs(indptr, nbrs, n):
+    """The distance matrix by one level-synchronous numpy BFS per source:
+    row v is ``multi_source_distances`` from v over the out-neighbour table,
+    with -1 (unreachable) read as 255."""
+    deg = np.diff(indptr)
+    table = np.full((n, int(deg.max(initial=0))), -1, dtype=np.int32)
+    table[np.arange(n).repeat(deg), np.arange(len(nbrs)) - indptr[:-1].repeat(deg)] = nbrs
+    dist = np.empty((n, n), dtype=np.int64)
+    for src in range(n):
+        dist[src] = _ops_py.multi_source_distances(table, [src])
+    assert dist.max(initial=0) < 255
+    dist[dist < 0] = 255
+    return dist.astype(np.uint8)
+
+
 def reference_max_bounded_defect(paths, dist):
     """The definition, in O(n^2 T): max over a, b, t of
     d(p_a(t), p_b(t)) - d(end_a, end_b), with the lexicographically least
@@ -48,6 +64,7 @@ def reference_max_bounded_defect(paths, dist):
 
 
 def _csr(adj):
+    """CSR form of neighbour collections; a list keeps repeated edges."""
     indptr = np.zeros(len(adj) + 1, dtype=np.int64)
     nbrs = []
     for i, row in enumerate(adj):
@@ -61,6 +78,23 @@ def _path_csr(n, directed=False, first=0):
     ``first`` isolated; only its forward edges when directed."""
     return _csr([{u for u in (v - 1, v + 1) if first <= u < n and (u > v or not directed)}
                  if v >= first else set() for v in range(n)])
+
+
+def _rotated_path_csr(n, last):
+    """The one-way path through all n vertices in the order last + 1, last +
+    2, ... (mod n), so that it ends at ``last``."""
+    return _csr([{(v + 1) % n} if v != last else set() for v in range(n)])
+
+
+def _random_multigraph(rng, n):
+    """Random directed out-neighbour lists with self-loops and repeated
+    edges."""
+    adj = [rng.integers(0, n, size=int(rng.integers(0, 4))).tolist() for _ in range(n)]
+    for v in range(0, n, 3):
+        adj[v] += [v, v]
+    if n > 1:
+        adj[0] += [1, 1, 1]
+    return adj
 
 
 def _random_adjacency(rng, n, extra_edges):
@@ -142,15 +176,16 @@ class TestFreeReduce:
 
 
 def _assert_kernels_agree(indptr, nbrs, n):
-    got = _ops_c.all_pairs_bfs(indptr, nbrs, n)
-    want = _ops_py.all_pairs_bfs(indptr, nbrs, n)
-    assert got.dtype == want.dtype == np.uint8 and got.shape == want.shape == (n, n)
-    assert (got == want).all()
-    return got
+    """Every kernel here, the fallback always, gives the reference matrix."""
+    want = reference_all_pairs_bfs(indptr, nbrs, n)
+    for kernel in KERNELS:
+        got = kernel.all_pairs_bfs(indptr, nbrs, n)
+        assert got.dtype == np.uint8 and got.shape == (n, n)
+        assert (got == want).all()
+    return want
 
 
 class TestAllPairsBfs:
-    @needs_compiled
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_reference_on_random_graphs(self, seed):
         rng = np.random.default_rng(seed)
@@ -159,16 +194,39 @@ class TestAllPairsBfs:
         _assert_kernels_agree(*_csr(adj), n)
         _assert_kernels_agree(*_csr(_directed(rng, adj)), n)
 
-    @needs_compiled
+    @pytest.mark.parametrize("seed", range(3))
+    def test_self_loops_and_repeated_edges(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(2, 150))
+        _assert_kernels_agree(*_csr(_random_multigraph(rng, n)), n)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny_graphs(self, n):
+        d = _assert_kernels_agree(*_csr([set() for _ in range(n)]), n)
+        assert (d == np.zeros((n, n))).all()
+        d = _assert_kernels_agree(*_csr([[v, v] for v in range(n)]), n)
+        assert (d == np.zeros((n, n))).all()
+
+    def test_isolated_vertices(self):
+        rng = np.random.default_rng(7)
+        n = 140
+        adj = _random_adjacency(rng, n, extra_edges=n)
+        isolated = set(rng.choice(n, size=20, replace=False).tolist())
+        adj = [set() if v in isolated else row - isolated for v, row in enumerate(adj)]
+        for graph in (adj, _directed(rng, adj)):
+            d = _assert_kernels_agree(*_csr(graph), n)
+            for v in isolated:
+                assert d[v, v] == 0 and (np.delete(d[v], v) == 255).all()
+                assert (np.delete(d[:, v], v) == 255).all()
+
     @pytest.mark.parametrize("name", zoo_names())
     def test_matches_reference_on_zoo_balls(self, name):
         idx = cayley.ball(get_group(name), 4)
         _assert_kernels_agree(*idx.graph_csr(), len(idx))
 
-    @needs_compiled
-    @pytest.mark.parametrize("n", [511, 512, 513, 1025])
+    @pytest.mark.parametrize("n", [127, 128, 129, 257, 511, 512, 513, 1025])
     def test_matches_reference_across_batches(self, n):
-        # the C loop fills 512 columns per sweep
+        # the fallback fills 128 columns per sweep, the C loop 512
         rng = np.random.default_rng(n)
         adj = _two_components(rng, n, extra_edges=n // 2)
         for graph in (adj, _directed(rng, adj)):
@@ -204,6 +262,32 @@ class TestAllPairsBfs:
             assert d[0, 254] == 254 and d[254, 0] == 255
             with pytest.raises(ValueError, match="diameter"):
                 kernel.all_pairs_bfs(*_path_csr(256, directed=True), 256)
+
+    def test_diameter_boundary_in_the_fallback_second_sweep(self):
+        # a one-way path ending at vertex 128, the first column of the
+        # fallback's second sweep
+        for kernel in KERNELS:
+            d = kernel.all_pairs_bfs(*_rotated_path_csr(255, last=128), 255)
+            assert d[129, 128] == 254 and d[128, 129] == 255 and d[0, 128] == 128
+            with pytest.raises(ValueError, match="diameter"):
+                kernel.all_pairs_bfs(*_rotated_path_csr(256, last=128), 256)
+
+    def test_fallback_working_memory(self):
+        # The traced peak beyond the returned n x n matrix: 238 bytes per
+        # vertex measured at 128 sources a sweep (one level's n x 128 mask
+        # of new bits, the bitsets and the neighbour table), 430 at 256
+        # sources, and 366 when one level's mask outlives the next.
+        idx = cayley.ball(get_group("free2"), 6)
+        indptr, nbrs = idx.graph_csr()
+        n = len(idx)
+        tracemalloc.start()
+        try:
+            dist = _ops_py.all_pairs_bfs(indptr, nbrs, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dist.nbytes == n * n == 1457 ** 2
+        assert peak - dist.nbytes <= 320 * n
 
     def test_diameter_boundary_in_the_second_batch(self):
         # a one-way path ending at vertex 512, the first column of the
