@@ -45,9 +45,9 @@ Theory*, 2005, ch. 5).  The state behind a ball is one of two kinds:
   rest of the enumeration run element by element on Python integers.
 * Element by element (``_ElementLayers``), the default batch action: a list
   of elements, their canonical keys and a dict from key to vertex, each
-  open slot multiplied through ``MarkedGroup.letter_actions`` and its
-  reverse slot filled at once, so that an edge found from one end is never
-  multiplied from the other.
+  open slot v, c filled by the model's ``multiply(v, letter_images[c])``
+  and its reverse slot filled at once, so that an edge found from one end
+  is never multiplied from the other.
 
 Other models (braid groups, direct products, tables) stay element by
 element, holding one product at a time.
@@ -252,7 +252,7 @@ class _ElementLayers:
     def start(cls, G: MarkedGroup) -> "_ElementLayers":
         ident = G.model.identity
         key = G.model.canonical_key(ident)
-        m = len(G.letter_actions)
+        m = len(G.letter_images)
         return cls(
             G, [ident], [key], {key: 0}, array("i", [-1]), array("b", [-1]),
             array("i", [_UNKNOWN]) * m, 0,
@@ -292,21 +292,22 @@ class _ElementLayers:
         return self
 
     def _expand(self, grow: bool, r: int = 0, max_elements: int = 0) -> int:
-        canonical_key, actions = self.G.model.canonical_key, self.G.letter_actions
+        model, images = self.G.model, self.G.letter_images
+        multiply, canonical_key = model.multiply, model.canonical_key
         elements, keys, index, parent, letter, nbr = (
             self._elements, self._keys, self._index, self.parent, self.letter, self.nbr
         )
         get = index.get
-        m = len(actions)
+        m = len(images)
         blank = array("i", [_UNKNOWN]) * m
         start = size = len(elements)
         for v in range(self.lo, start):
             g = elements[v]
             row = v * m
-            for code, act in enumerate(actions):
+            for code, y in enumerate(images):
                 if nbr[row + code] != _UNKNOWN:
                     continue
-                h = act(g)
+                h = multiply(g, y)
                 hk = canonical_key(h)
                 j = get(hk)
                 if j is None:
@@ -336,7 +337,7 @@ class _ElementLayers:
         )
 
     def table(self) -> np.ndarray:
-        m = len(self.G.letter_actions)
+        m = len(self.G.letter_images)
         return np.frombuffer(self.nbr, dtype=np.int32).reshape(len(self._elements), m)
 
 
@@ -348,7 +349,7 @@ class _PackedLayers:
     def __init__(self, G: MarkedGroup, batch):
         self.G = G
         self.batch = batch
-        m = len(G.letter_actions)
+        m = len(G.letter_images)
         self.rows = [batch.pack(G.model.identity)]
         self.tables = [np.full((1, m), _UNKNOWN, dtype=np.int32)]
         self.parents = [np.array([-1], dtype=np.int32)]
@@ -397,11 +398,10 @@ class _PackedLayers:
         slots = np.flatnonzero(table_f.ravel() == _UNKNOWN)
         src, code = np.divmod(slots, m)
         cand = np.empty((len(slots), rows_f.shape[1]), dtype=np.int64)
-        image = self.G.letter_image_by_code
-        for c in range(m):
+        for c, y in enumerate(self.G.letter_images):
             sel = np.flatnonzero(code == c)
             if len(sel):
-                out = self.batch.right_multiply(rows_f[src[sel]], image(c))
+                out = self.batch.right_multiply(rows_f[src[sel]], y)
                 if out is None:
                     return None
                 cand[sel] = out

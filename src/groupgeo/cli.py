@@ -70,17 +70,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_out(out: str, files: dict[str, str]) -> None:
+    """Write each file name's text into the directory ``out``, made if
+    missing."""
+    outdir = Path(out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (outdir / name).write_text(text, encoding="utf-8")
+
+
 def _emit_report(report: experiments.ExperimentReport, args) -> None:
     base = report.name.replace(":", "-")
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / f"{base}.json").write_text(
-            json.dumps(report.to_json_dict(), indent=2, default=str) + "\n",
-            encoding="utf-8",
-        )
+        files = {f"{base}.json": json.dumps(report.to_json_dict(), indent=2, default=str) + "\n"}
         for table_name, payload in report.tables.items():
-            (outdir / f"{base}.{table_name}.csv").write_text(payload, encoding="utf-8")
+            files[f"{base}.{table_name}.csv"] = payload
+        _write_out(args.out, files)
     elif args.format == "json":
         print(json.dumps(report.to_json_dict(), indent=2, default=str))
     else:
@@ -112,9 +117,7 @@ def _cmd_ball(args) -> int:
     buf = io.StringIO()
     idx.write_csv(buf)
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "ball.csv").write_text(buf.getvalue(), encoding="utf-8")
+        _write_out(args.out, {"ball.csv": buf.getvalue()})
     else:
         print(buf.getvalue(), end="")
     return 0
@@ -158,9 +161,7 @@ def _cmd_centralizer(args) -> int:
     lines = ["member"] + [G.model.describe(m) for m in members]
     text = "\n".join(lines) + f"\nk,{report.k}\n"
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "centralizer.csv").write_text(text, encoding="utf-8")
+        _write_out(args.out, {"centralizer.csv": text})
     else:
         print(text, end="")
     return 0

@@ -72,10 +72,10 @@ class DiscretePath:
 
     def validate_steps(self, G: MarkedGroup) -> bool:
         """Each consecutive pair differs by one marked letter."""
-        canonical_key = G.model.canonical_key
+        multiply, canonical_key = G.model.multiply, G.model.canonical_key
         for a, b in zip(self.vertices, self.vertices[1:]):
             key = canonical_key(b)
-            if not any(canonical_key(act(a)) == key for act in G.letter_actions):
+            if not any(canonical_key(multiply(a, y)) == key for y in G.letter_images):
                 return False
         return True
 
@@ -114,13 +114,14 @@ class ShortlexBicombing(Bicombing):
 
     def _rule(self, x: Element, y: Element) -> DiscretePath:
         model = self.group.model
-        u = model.multiply(model.invert(x), y)
+        multiply = model.multiply
+        u = multiply(model.invert(x), y)
         word = self.index.vertex_word(self._lookup(u))
-        letter_key, actions = self.group.alphabet.letter_key, self.group.letter_actions
+        letter_key, images = self.group.alphabet.letter_key, self.group.letter_images
         vertices = [x]
         acc = x
         for letter in word:
-            acc = actions[letter_key(letter)](acc)
+            acc = multiply(acc, images[letter_key(letter)])
             vertices.append(acc)
         return DiscretePath(tuple(vertices))
 

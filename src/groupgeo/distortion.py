@@ -168,7 +168,6 @@ class ProfileEntry:
     exact: bool
     witness_key: bytes
     witness_word: str
-    witness_dh: int
 
 
 @dataclass
@@ -185,12 +184,13 @@ class DistortionProfile:
         return [e.delta for e in self.entries]
 
     def write_csv(self, fileobj: IO[str]) -> None:
+        # dH, the witness's length in H, is delta(n) itself
         writer = csv.writer(fileobj, lineterminator="\n")
         writer.writerow(["n", "delta", "exact", "witness_key", "witness_word", "dH"])
         for e in self.entries:
             writer.writerow(
                 [e.n, e.delta, "exact" if e.exact else "lower_bound",
-                 e.witness_key.hex(), e.witness_word, e.witness_dh]
+                 e.witness_key.hex(), e.witness_word, e.delta]
             )
 
 
@@ -241,7 +241,6 @@ def distortion_profile(
                 exact=exact,
                 witness_key=run_key,
                 witness_word=G.alphabet.format_word(idx.vertex_word(run_v)),
-                witness_dh=run_delta,
             )
         )
     return DistortionProfile(entries, G.name or "", subgroup_name)
@@ -250,7 +249,7 @@ def distortion_profile(
 def profile_from_values(values: Sequence[int]) -> DistortionProfile:
     """A synthetic all-exact profile from raw delta values (n starts at 1)."""
     return DistortionProfile(
-        [ProfileEntry(n, v, True, b"", "", v) for n, v in enumerate(values, start=1)]
+        [ProfileEntry(n, v, True, b"", "") for n, v in enumerate(values, start=1)]
     )
 
 

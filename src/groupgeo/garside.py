@@ -15,8 +15,8 @@ at most n! entries each for n strands, and ``_left_weighted`` per pair of
 simple braids, at most n!^2 entries: 36 at 3 strands, 576 at 4.  They fill
 lazily as products meet new permutations, so building a model costs
 nothing, and every product, not only a product by a generator, reuses them.
-``BraidGroup`` has no right action of its own: a product by a generator
-renormalises through the cached pairs.
+A product by a generator is a general ``multiply``, renormalised through
+the cached pairs.
 """
 
 from __future__ import annotations

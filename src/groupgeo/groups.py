@@ -5,24 +5,12 @@ two elements are equal in the group iff their keys are equal bytes.  All
 arithmetic is exact (Python integers never wrap), so keys are collision-free
 by construction.
 
-Right actions.  Enumeration, the ball's neighbour table and the combing
-lines only ever multiply by a marked letter, so ``GroupModel.right_action(y)``
-returns a callable x -> x * y that a model may specialise to y
+Letter products.  Enumeration, the ball's neighbour table and the combing
+lines only ever multiply by a marked letter.  ``MarkedGroup.letter_images``
+holds the image of each letter code, built once with the marking, and
+every such product is ``multiply(x, letter_images[c])``: a model has one
+product per element, as a packed batch has one row product per side
 (Epstein et al., *Word Processing in Groups*, 1992, ch. 2-3).
-``MarkedGroup.letter_actions`` holds one per letter code, built once with
-the marking.  The default calls ``multiply``.  The overrides are:
-
-* ``FreeGroupModel``: for a one-letter image c, x * c drops the last code
-  of x when it is c^-1 and appends c otherwise.
-* ``DirectProduct``: for an image that differs from the identity in one
-  factor only, x * y replaces that component through the factor's own
-  action.
-
-Any other image falls back to ``multiply``.  None of the actions caches
-anything, so they cost O(|X|) closures per marked group.  Per element, an
-override took 115-124 ns against 237-240 ns for ``multiply`` on free2's
-B(6), but a column operation for heis3's elementary letters 612-781 ns
-against 600-660 ns, so matrices keep the default.
 
 Batch actions.  Ball enumeration expands a whole layer at once through the
 model's ``batch_action()``, which depends on the model alone, not on the
@@ -52,10 +40,10 @@ When the proof fails, as it does at once for a y with an entry beyond
 int64, it returns None and enumeration goes on element by element over
 Python integers, so no wrapped integer is ever stored.  Every other model
 returns None from the start: its batch action is the default, one
-``right_action`` call per open slot.
+``multiply`` call per open slot.
 
 General products.  ``multiply`` and ``invert`` of arbitrary elements (the
-combing checks, conjugacy tests, ``evaluate`` of inverse letters) cost what
+combing checks, conjugacy tests, every product by a letter image) cost what
 the algebra costs:
 
 * ``IntegerMatrixGroup`` runs straight-line code generated from the
@@ -98,16 +86,10 @@ class GroupModel(ABC):
     @abstractmethod
     def canonical_key(self, x: Element) -> bytes: ...
 
-    def right_action(self, y: Element) -> Callable[[Element], Element]:
-        """The map x -> x * y.  Models override it for images they can apply
-        faster than a general product; the default looks ``multiply`` up on
-        each call."""
-        return lambda x: self.multiply(x, y)
-
     def batch_action(self):
         """The packed batch action of this model's elements, or None: ball
         enumeration then expands each layer element by element through
-        ``right_action``."""
+        ``multiply``."""
         return None
 
     def power(self, x: Element, n: int) -> Element:
@@ -381,13 +363,6 @@ class FreeGroupModel(GroupModel):
             k += 1
         return x[:len(x) - k] + y[k:]
 
-    def right_action(self, y):
-        if len(y) != 1:
-            return super().right_action(y)
-        (c,) = y
-        inv = c ^ 1
-        return lambda x: x[:-1] if x and x[-1] == inv else x + y
-
     def invert(self, x):
         return tuple([c ^ 1 for c in reversed(x)])
 
@@ -416,17 +391,7 @@ class DirectProduct(GroupModel):
         return tuple(f.identity for f in self.factors)
 
     def multiply(self, x, y):
-        return tuple(f.multiply(a, b) for f, a, b in zip(self.factors, x, y))
-
-    def right_action(self, y):
-        # a component equal to the factor's identity as a value is the
-        # identity; any other counts as moved, which at worst falls back
-        moved = [k for k, (f, b) in enumerate(zip(self.factors, y)) if b != f.identity]
-        if len(moved) != 1:
-            return super().right_action(y)
-        (k,) = moved
-        act = self.factors[k].right_action(y[k])
-        return lambda x: x[:k] + (act(x[k]),) + x[k + 1:]
+        return tuple([f.multiply(a, b) for f, a, b in zip(self.factors, x, y)])
 
     def invert(self, x):
         return tuple(f.invert(a) for f, a in zip(self.factors, x))
@@ -454,9 +419,8 @@ class MarkedGroup:
     presentation: Optional[Presentation] = None
     norm_oracle: Optional[Callable[[Element], int]] = None
     name: Optional[str] = None
-    _letter_images: tuple = field(init=False, repr=False, default=())
-    # x -> x * letter_image_by_code(c), one per letter code c
-    letter_actions: tuple = field(init=False, repr=False, compare=False, default=())
+    # the image of each letter code: 2*i is marking[i], 2*i + 1 its inverse
+    letter_images: tuple = field(init=False, repr=False, default=())
 
     def __post_init__(self):
         if len(self.marking) != len(self.alphabet):
@@ -465,11 +429,7 @@ class MarkedGroup:
         for g in self.marking:
             images.append(g)
             images.append(self.model.invert(g))
-        self._letter_images = tuple(images)
-        self.letter_actions = tuple(self.model.right_action(a) for a in images)
-
-    def letter_image_by_code(self, code: int) -> Element:
-        return self._letter_images[code]
+        self.letter_images = tuple(images)
 
     @property
     def identity_key(self) -> bytes:
@@ -480,9 +440,9 @@ def evaluate(w: Word, G: MarkedGroup) -> Element:
     """The monoid map from words to the group: left-to-right product of
     marked images, inverse letters through ``invert``."""
     acc = G.model.identity
-    letter_key, actions = G.alphabet.letter_key, G.letter_actions
+    multiply, letter_key, images = G.model.multiply, G.alphabet.letter_key, G.letter_images
     for letter in w:
-        acc = actions[letter_key(letter)](acc)
+        acc = multiply(acc, images[letter_key(letter)])
     return acc
 
 

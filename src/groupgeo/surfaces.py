@@ -101,12 +101,18 @@ def exceptional_case(n: SurfaceSig) -> str:
 class CatalogEntry:
     signature: SurfaceSig
     group_name: str
-    presentation: Optional[Presentation]
     model_factory: Optional[Callable[[], MarkedGroup]]
     note: str
 
     def model(self) -> Optional[MarkedGroup]:
         return self.model_factory() if self.model_factory else None
+
+    @property
+    def presentation(self) -> Optional[Presentation]:
+        """The model's presentation, built on each access; None without a
+        model."""
+        G = self.model()
+        return None if G is None else G.presentation
 
 
 def trivial_marked_group(name: str = "trivial") -> MarkedGroup:
@@ -178,37 +184,27 @@ def _catalog() -> dict[str, CatalogEntry]:
     entries = {}
     for sig in trivial_sigs:
         entries[sig] = CatalogEntry(
-            SurfaceSig.parse(sig), "trivial", Presentation(Alphabet(())),
-            trivial_marked_group,
+            SurfaceSig.parse(sig), "trivial", trivial_marked_group,
             "low-complexity orientable surface with trivial mapping class group",
         )
     entries["S0,2"] = CatalogEntry(
-        SurfaceSig.parse("S0,2"), "Z2",
-        Presentation.parse(("x",), ("x x",)), cyclic_two_marked_group,
+        SurfaceSig.parse("S0,2"), "Z2", cyclic_two_marked_group,
         "twice-punctured sphere: the puncture swap generates Z2",
     )
     entries["S0^2"] = CatalogEntry(
-        SurfaceSig.parse("S0^2"), "Z",
-        Presentation(Alphabet(("t",))), infinite_cyclic_marked_group,
+        SurfaceSig.parse("S0^2"), "Z", infinite_cyclic_marked_group,
         "annulus: generated by the twist along the core curve",
     )
     entries["S1"] = CatalogEntry(
-        SurfaceSig.parse("S1"), "SL(2,Z)",
-        Presentation.parse(
-            ("a", "b"), ("a a a a", "b b b b b b", "a a b^-1 b^-1 b^-1")
-        ),
-        sl2z_marked_group,
+        SurfaceSig.parse("S1"), "SL(2,Z)", sl2z_marked_group,
         "torus: mapping classes act on first homology",
     )
     entries["N1"] = CatalogEntry(
-        SurfaceSig.parse("N1"), "trivial", Presentation(Alphabet(())),
-        trivial_marked_group,
+        SurfaceSig.parse("N1"), "trivial", trivial_marked_group,
         "projective plane has trivial mapping class group",
     )
     entries["N2"] = CatalogEntry(
-        SurfaceSig.parse("N2"), "Z2 x Z2",
-        Presentation.parse(("x", "y"), ("x x", "y y", "x y x^-1 y^-1")),
-        klein_four_marked_group,
+        SurfaceSig.parse("N2"), "Z2 x Z2", klein_four_marked_group,
         "Klein bottle: Z2 x Z2, never embeds in the torus mapping class group",
     )
     return entries
@@ -248,7 +244,7 @@ def twist_subgroup_lookup(s: SurfaceSig) -> Optional[CatalogEntry]:
     if hit is None:
         return None
     name, gens = hit
-    return CatalogEntry(s, name, None, None, "; ".join(gens))
+    return CatalogEntry(s, name, None, "; ".join(gens))
 
 
 @dataclass

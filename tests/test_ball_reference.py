@@ -1,11 +1,11 @@
 """Layer-at-a-time ball enumeration against the per-element reference.
 
 ``_reference_ball`` is the enumeration loop the library ran before packed
-batch actions: one right action, one canonical key and one dict lookup per
-open slot, over Python integers, with the reverse slot filled at once, and
-the last layer closed the same way.  Every ball, packed or not, must equal
-it field by field.  The packed products by an arbitrary element, on either
-side, must equal ``multiply`` row by row.
+batch actions: one product by a letter image, one canonical key and one
+dict lookup per open slot, over Python integers, with the reverse slot
+filled at once, and the last layer closed the same way.  Every ball,
+packed or not, must equal it field by field.  The packed products by an
+arbitrary element, on either side, must equal ``multiply`` row by row.
 """
 
 import random
@@ -29,7 +29,7 @@ PACKED = ("bs12", "heis3", "sl2z")
 
 def _reference_ball(G, n, max_elements=cayley.DEFAULT_MAX_ELEMENTS, stop_key=None):
     model = G.model
-    canonical_key, actions = model.canonical_key, G.letter_actions
+    multiply, canonical_key, images = model.multiply, model.canonical_key, G.letter_images
     ident = model.identity
     keys = [canonical_key(ident)]
     elements = [ident]
@@ -37,7 +37,7 @@ def _reference_ball(G, n, max_elements=cayley.DEFAULT_MAX_ELEMENTS, stop_key=Non
     get = index.get
     parent = array("i", [-1])
     letter = array("b", [-1])
-    m = len(actions)
+    m = len(images)
     blank = array("i", [_UNKNOWN]) * m
     nbr = blank[:]
     sphere_sizes = [1]
@@ -50,10 +50,10 @@ def _reference_ball(G, n, max_elements=cayley.DEFAULT_MAX_ELEMENTS, stop_key=Non
         for v in range(layer_start, layer_end):
             g = elements[v]
             row = v * m
-            for code, act in enumerate(actions):
+            for code, y in enumerate(images):
                 if nbr[row + code] != _UNKNOWN:
                     continue
-                h = act(g)
+                h = multiply(g, y)
                 hk = canonical_key(h)
                 j = get(hk)
                 if j is None:
@@ -78,9 +78,9 @@ def _reference_ball(G, n, max_elements=cayley.DEFAULT_MAX_ELEMENTS, stop_key=Non
     for v in range(layer_start, size):
         g = elements[v]
         row = v * m
-        for code, act in enumerate(actions):
+        for code, y in enumerate(images):
             if nbr[row + code] == _UNKNOWN:
-                w = get(canonical_key(act(g)), -1)
+                w = get(canonical_key(multiply(g, y)), -1)
                 nbr[row + code] = w
                 if w >= 0:
                     nbr[w * m + (code ^ 1)] = v
@@ -334,8 +334,7 @@ class TestInt64Boundary:
         xs = [model.element(k, num, exp) for k in (-3, 0, 2)
               for num in (-12, -1, 0, 1, 6, 40) for exp in (0, 1, 3)]
         rows = np.array(xs, dtype=np.int64)
-        for code in range(4):
-            y = G.letter_image_by_code(code)
+        for y in G.letter_images:
             assert batch.unpack(batch.right_multiply(rows, y)) == [model.multiply(x, y) for x in xs]
 
 
@@ -459,11 +458,12 @@ def _random_free_word(rng, rank, length):
 
 def _sample_elements(G, rng, count, radius):
     """Elements of G as products of up to ``radius`` random letters."""
+    multiply, images = G.model.multiply, G.letter_images
     out = []
     for _ in range(count):
         g = G.model.identity
         for _ in range(rng.randrange(radius + 1)):
-            g = G.letter_actions[rng.randrange(len(G.letter_actions))](g)
+            g = multiply(g, images[rng.randrange(len(images))])
         out.append(g)
     return out
 

@@ -236,7 +236,7 @@ def _reference_csr(idx):
     for g in idx.elements:
         row = []
         for code in range(2 * len(G.alphabet)):
-            h = model.multiply(g, G.letter_image_by_code(code))
+            h = model.multiply(g, G.letter_images[code])
             j = idx.index.get(model.canonical_key(h))
             if j is not None:
                 row.append(j)
@@ -253,7 +253,7 @@ def _reference_table(idx):
     table = np.full((len(idx), m), -1, dtype=np.int32)
     for v, g in enumerate(idx.elements):
         for code in range(m):
-            h = model.multiply(g, G.letter_image_by_code(code))
+            h = model.multiply(g, G.letter_images[code])
             table[v, code] = idx.index.get(model.canonical_key(h), -1)
     return table
 
@@ -329,26 +329,25 @@ def _sl2z_with_inverse_letter():
     """sl2z marked by a and a^-1 as two letters: code 1 and code 2 are the
     same image."""
     G = get_group("sl2z")
-    a = G.letter_image_by_code(0)
+    a = G.letter_images[0]
     return MarkedGroup(
         model=G.model, alphabet=Alphabet(("a", "A")), marking=(a, G.model.invert(a))
     )
 
 
 def _count_products(G, monkeypatch):
-    """Replace G's letter actions by counting wrappers, and wrap
-    ``right_multiply`` of its packed batch action's class, if any;
-    ``calls[0]`` counts per-element products and ``calls[1]`` the rows
-    passed to the batch action."""
+    """Wrap ``multiply`` of G's model instance, and ``right_multiply`` of its
+    packed batch action's class, if any, in counters; ``calls[0]`` counts
+    per-element products and ``calls[1]`` the rows passed to the batch
+    action."""
     calls = [0, 0]
+    multiply = G.model.multiply
 
-    def counted(act):
-        def call(g):
-            calls[0] += 1
-            return act(g)
-        return call
+    def counted(x, y):
+        calls[0] += 1
+        return multiply(x, y)
 
-    G.letter_actions = tuple(counted(act) for act in G.letter_actions)
+    monkeypatch.setattr(G.model, "multiply", counted)
     batch = G.model.batch_action()
     if batch is not None:
         cls = type(batch)

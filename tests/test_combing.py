@@ -283,13 +283,13 @@ def _reversed_lines(G, radius):
     from 1 to x y is 1, y, x y, where the shortlex line is 1, x, x y."""
     inner = combing.shortlex_bicombing(G, radius)
     m = G.model
-    letter_key, actions = G.alphabet.letter_key, G.letter_actions
+    letter_key, images = G.alphabet.letter_key, G.letter_images
 
     def rule(x, y):
         u = m.multiply(m.invert(x), y)
         vertices = [x]
         for letter in list(inner.index.vertex_word(inner._lookup(u)))[::-1]:
-            vertices.append(actions[letter_key(letter)](vertices[-1]))
+            vertices.append(m.multiply(vertices[-1], images[letter_key(letter)]))
         return combing.DiscretePath(tuple(vertices))
 
     return combing.Bicombing(group=G, rule=rule, distance_fn=inner._distance)
@@ -453,7 +453,7 @@ class TestRowScan:
         a = _elt(G, _CENTRALIZER_WORDS[name])
         rows_ball, tuple_ball = cayley.ball(G, r), _decoded_ball(G, r)
         elements = tuple_ball.elements
-        gammas = [a, model.multiply(a, a), G.letter_image_by_code(0)]
+        gammas = [a, model.multiply(a, a), G.letter_images[0]]
         gammas += [
             model.multiply(model.multiply(model.invert(v), a), v)
             for v in elements[1::max(1, len(elements) // 7)]

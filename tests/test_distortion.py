@@ -182,7 +182,7 @@ class TestDistortionProfile:
         for e in p.entries:
             g = evaluate(G.alphabet.parse_word(e.witness_word), G)
             assert H.contains(g)
-            assert H.length_in_H(g) == e.witness_dh
+            assert H.length_in_H(g) == e.delta
             assert cayley.word_length_of(g, G, e.n) is not None
 
     def test_capped_oracle_marks_entries(self):

@@ -260,6 +260,16 @@ class TestCli:
         assert out.splitlines()[0] == "member"
         assert out.splitlines()[-1].startswith("k,")
 
+    def test_centralizer_out_file(self, tmp_path, capsys):
+        argv = ["centralizer", "--group", "free2", "--radius", "3", "--element", "x"]
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "reports" / "free2"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in out.iterdir()] == ["centralizer.csv"]
+        assert (out / "centralizer.csv").read_bytes() == printed.encode("utf-8")
+
     def test_verify_hom_pass(self, tmp_path, capsys):
         lift = tmp_path / "lift.json"
         lift.write_text(json.dumps(

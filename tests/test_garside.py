@@ -182,12 +182,16 @@ B4_MARKED = MarkedGroup(
 class TestFourStrands:
     @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))), max_size=10))
     @settings(max_examples=80)
-    def test_letter_actions_match_multiply(self, letters):
+    def test_letter_products_match_artin_words(self, letters):
+        # x times the image of letter code c is the braid of the word with
+        # that letter appended; an inverse letter's image comes from
+        # ``invert``, the appended Artin letter from its simple factor
         x = B4.from_artin_word(letters)
-        for c, act in enumerate(B4_MARKED.letter_actions):
-            want = B4.multiply(x, B4_MARKED.letter_image_by_code(c))
-            assert B4.canonical_key(act(x)) == B4.canonical_key(want)
-            assert B4.is_normal_form(act(x))
+        for c, y in enumerate(B4_MARKED.letter_images):
+            got = B4.multiply(x, y)
+            want = B4.from_artin_word(letters + [(c >> 1, -1 if c & 1 else 1)])
+            assert B4.canonical_key(got) == B4.canonical_key(want)
+            assert B4.is_normal_form(got)
 
     def test_left_weighted_cache_is_bounded_by_pairs_of_simple_braids(self):
         _left_weighted.cache_clear()

@@ -51,11 +51,11 @@ def _segments(sigma, sample):
 def _detour(sigma, G):
     """Lines of sigma with a first step out along letter 0 and back, and
     every vertex after it doubled: segments with d = 0, d < span and ties."""
-    out = G.letter_actions[0]
+    multiply, out = G.model.multiply, G.letter_images[0]
 
     def rule(x, y):
         verts = sigma.line(x, y).vertices
-        padded = [verts[0], out(verts[0])]
+        padded = [verts[0], multiply(verts[0], out)]
         for v in verts:
             padded.extend([v, v])
         return combing.DiscretePath(tuple(padded))

@@ -140,6 +140,19 @@ class TestCatalog:
             report = verify_presentation(G, entry.presentation)
             assert report.ok, f"{entry.group_name}: {report}"
 
+    def test_every_entry_reads_its_models_presentation(self):
+        relators = {}
+        for sig, entry in surfaces._CATALOG.items():
+            G, P = entry.model(), entry.presentation
+            assert P == G.presentation and P.alphabet == G.alphabet
+            relators[sig] = tuple(P.alphabet.format_word(r) for r in P.relators)
+        assert relators == {
+            "S0": (), "S0,1": (), "S0^1": (), "S0,1^1": (), "S0^2": (), "N1": (),
+            "S0,2": ("x x",),
+            "S1": ("a a a a", "b b b b b b", "a a b^-1 b^-1 b^-1"),
+            "N2": ("x x", "y y", "x y x^-1 y^-1"),
+        }
+
     def test_annulus_model_is_infinite_cyclic(self):
         G = surfaces.small_mcg_lookup(SurfaceSig.parse("S0^2")).model()
         t = G.marking[0]
@@ -152,6 +165,11 @@ class TestTwistSubgroups:
         assert surfaces.twist_subgroup_lookup(SurfaceSig.parse("N1,1^1")).group_name == "Z"
         assert surfaces.twist_subgroup_lookup(SurfaceSig.parse("N1^2")).group_name == "Z^2"
         assert surfaces.twist_subgroup_lookup(SurfaceSig.parse("N2^1")).group_name == "Z^2"
+
+    def test_entries_carry_no_presentation(self):
+        for text in ("N1,1^1", "N1^2", "N2^1"):
+            entry = surfaces.twist_subgroup_lookup(SurfaceSig.parse(text))
+            assert entry.presentation is None and entry.model() is None
 
     def test_misses(self):
         assert surfaces.twist_subgroup_lookup(SurfaceSig.parse("N1")) is None
