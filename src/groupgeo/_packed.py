@@ -7,25 +7,32 @@ row-major order, ``DyadicAffineGroup`` as the columns (k, num, exp), and
 ``FreeGroupModel`` as one column holding a leading 1 bit followed by one
 code per letter.  Every packing is canonical: equal rows are equal
 elements.  A batch is built from the model alone (the dimension or the
-rank) and has one product per side: ``right_multiply(rows, y)`` and
-``left_multiply(rows, y)`` multiply every row by an arbitrary element y,
-a letter image or any other.  Before it computes anything each proves,
-from y and the largest |entry| of its input, that no result and no
-intermediate overflows int64; when the proof fails it returns None and the
-caller continues on Python integers.  So no wrapped integer is ever
-returned, and no y needs checking in advance.
+rank) and has one product and one inverse: ``multiply(A, B)`` multiplies
+row arrays A and B of one length row by row, or broadcasts either one when
+it is a single row, so a product by a letter image and the pairwise
+products of the combing checks are the same call; ``invert(A)`` inverts
+every row.  ``pack`` turns one element into a single row, or None when an
+entry does not fit int64.  Before it computes anything each product and
+inverse proves, from the largest |entry| of its inputs, that no result and
+no intermediate overflows int64; when the proof fails it returns None and
+the caller continues on Python integers.  So no wrapped integer is ever
+returned.
 
 ``groups`` imports this module only when a model builds its batch action,
 on the first ball enumeration.  numpy is loaded with the package anyway (by
 the kernel fallback), so what the deferral saves is compiling this module
-in runs that build no packed ball, such as balls of Z^2 and braid groups.
+in runs that build no packed ball, such as balls of Z^2 and of braid group
+configs.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
+
+from .groups import _straight_line
 
 INT64_MAX = (1 << 63) - 1
 _DECODE_BLOCK = 4096  # free words decoded per shift-and-mask matrix
@@ -57,58 +64,71 @@ def row_keys(pool: np.ndarray) -> np.ndarray:
     return key
 
 
-def _elementary(y) -> Optional[tuple[int, int, int]]:
-    """(i, j, s) when the matrix y is I + s e_ij with i != j and s = +-1,
-    else None."""
-    off = [(i, j, v) for i, row in enumerate(y) for j, v in enumerate(row) if v != (i == j)]
+def _pack(values) -> Optional[np.ndarray]:
+    """One int64 row of these Python ints, or None when one is past int64."""
+    try:
+        return np.array([values], dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _elementary(row: list, d: int) -> Optional[tuple[int, int, int]]:
+    """(i, j, s) when the d x d matrix with these row-major entries is
+    I + s e_ij with i != j and s = +-1, else None."""
+    off = [(k // d, k % d, v) for k, v in enumerate(row) if v != (k // d == k % d)]
     if len(off) == 1 and off[0][0] != off[0][1] and off[0][2] in (1, -1):
         return off[0]
     return None
 
 
 class MatrixBatch:
-    """x -> x * y and y * x for d x d integer matrices packed as int64 rows.
+    """Products and inverses of d x d integer matrices packed as int64 rows.
 
-    An elementary y = I + s e_ij (i != j, s = +-1) on the right adds s
-    times column i to column j, |result| <= 2M for inputs bounded by M.
-    Any other product is one batched matmul, |result| <= d * M * max|y|,
-    and every partial sum obeys the same bound.
+    A product by one elementary row B = I + s e_ij (i != j, s = +-1) adds s
+    times column i of A to column j, |result| <= 2M for A bounded by M.
+    Any other product is one batched matmul, |result| <= d * M_A * M_B, and
+    every partial sum obeys the same bound.  The inverse of a determinant
+    +-1 matrix is its adjugate times the determinant, from the straight-line
+    Laplace expansion of ``groups`` applied to whole columns: a k x k minor
+    and each of its partial sums is at most k! * M^k, so d! * M^d bounds
+    every intermediate.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
 
-    def pack(self, x) -> np.ndarray:
-        return np.array([sum(x, ())], dtype=np.int64)
+    def pack(self, x) -> Optional[np.ndarray]:
+        return _pack(sum(x, ()))
 
-    def right_multiply(self, rows: np.ndarray, y) -> Optional[np.ndarray]:
-        """x -> x * y for any matrix y: one column operation when y is
-        elementary, else one batched matmul."""
-        elementary = _elementary(y)
-        if elementary is None:
-            Y = self._operand(rows, y)
-            return None if Y is None else np.matmul(rows.reshape(-1, self.dim, self.dim), Y).reshape(rows.shape)
-        i, j, s = elementary
-        if 2 * max_abs(rows) > INT64_MAX:
-            return None
+    def multiply(self, A: np.ndarray, B: np.ndarray) -> Optional[np.ndarray]:
+        """A * B row by row: one column operation when B is one elementary
+        row, else one batched matmul."""
         d = self.dim
-        out = rows.copy()
+        elementary = _elementary(B[0].tolist(), d) if len(B) == 1 else None
+        if elementary is None:
+            if d * max_abs(A) * max_abs(B) > INT64_MAX:
+                return None
+            return np.matmul(A.reshape(-1, d, d), B.reshape(-1, d, d)).reshape(-1, d * d)
+        i, j, s = elementary
+        if 2 * max_abs(A) > INT64_MAX:
+            return None
+        out = A.copy()
         col = out[:, j::d]
-        (np.add if s > 0 else np.subtract)(col, rows[:, i::d], out=col)
+        (np.add if s > 0 else np.subtract)(col, A[:, i::d], out=col)
         return out
 
-    def left_multiply(self, rows: np.ndarray, y) -> Optional[np.ndarray]:
-        """x -> y * x for any matrix y, one batched matmul bounded as
-        ``right_multiply``'s."""
-        Y = self._operand(rows, y)
-        return None if Y is None else np.matmul(Y, rows.reshape(-1, self.dim, self.dim)).reshape(rows.shape)
-
-    def _operand(self, rows: np.ndarray, y) -> Optional[np.ndarray]:
-        """y as an int64 array, or None when d * M * max|y| is past int64."""
-        y_max = max(abs(v) for row in y for v in row)
-        if y_max > INT64_MAX or self.dim * max_abs(rows) * y_max > INT64_MAX:
+    def invert(self, A: np.ndarray) -> Optional[np.ndarray]:
+        """The exact inverse of every row: adjugate times determinant."""
+        d = self.dim
+        if math.factorial(d) * max_abs(A) ** d > INT64_MAX:
             return None
-        return np.array(y, dtype=np.int64)
+        cols = [A[:, k] for k in range(d * d)]
+        adj, det = _straight_line(d)[1](tuple(tuple(cols[i * d:(i + 1) * d]) for i in range(d)))
+        out = np.empty_like(A)
+        for i, row in enumerate(adj):
+            for j, v in enumerate(row):
+                np.multiply(v, det, out=out[:, i * d + j])
+        return out
 
     def unpack(self, rows: np.ndarray) -> list:
         """Tuples of row tuples of Python ints.  Equal matrix rows are one
@@ -128,44 +148,51 @@ class MatrixBatch:
 
 
 class DyadicBatch:
-    """x -> x * y and y * x for dyadic affine maps packed as int64 rows
+    """Products and inverses of dyadic affine maps packed as int64 rows
     (k, num, exp).
 
     The product x * y of x = (k1, p1, e1) and y = (k2, p2, e2) has exp
     E = max(e2 - k1, e1, 0) and num = (p2 << (E - e2 + k1)) + (p1 << (E - e1)),
     normalised by exact integer operations: the trailing zeros of num are
     counted on its lowest set bit ``num & -num``, and min(trailing zeros, E)
-    are shifted out.  Either factor may be the rows and the other one
-    element.  With |k1| <= K, |p1| <= P1, e1 <= X1, |p2| <= P2 and
+    are shifted out.  With |k1| <= K, |p1| <= P1, e1 <= X1, |p2| <= P2 and
     e2_lo <= e2 <= X2, E is at most S = max(X2 + K, X1, 0), so
-    |num| <= (P1 << S) + (P2 << (S - e2_lo + K)).
+    |num| <= (P1 << S) + (P2 << (S - e2_lo + K)).  The inverse of (k, p, e)
+    is (-k, -p, e + k), its num shifted left by -(e + k) where that is
+    positive and normalised as a product's.
     """
 
-    def pack(self, x) -> np.ndarray:
-        return np.array([x], dtype=np.int64)
+    def pack(self, x) -> Optional[np.ndarray]:
+        return _pack(x)
 
-    def right_multiply(self, rows: np.ndarray, y) -> Optional[np.ndarray]:
-        """x -> x * y for any dyadic map y."""
-        return _compose((rows[:, 0], rows[:, 1], rows[:, 2]), y, rows)
+    def multiply(self, A: np.ndarray, B: np.ndarray) -> Optional[np.ndarray]:
+        return _compose((A[:, 0], A[:, 1], A[:, 2]), (B[:, 0], B[:, 1], B[:, 2]))
 
-    def left_multiply(self, rows: np.ndarray, y) -> Optional[np.ndarray]:
-        """x -> y * x for any dyadic map y."""
-        return _compose(y, (rows[:, 0], rows[:, 1], rows[:, 2]), rows)
+    def invert(self, A: np.ndarray) -> Optional[np.ndarray]:
+        k, p, e = A[:, 0], A[:, 1], A[:, 2]
+        (k_lo, k_hi), (p_lo, p_hi), (e_lo, e_hi) = _extremes(k), _extremes(p), _extremes(e)
+        up = max(-(k_lo + e_lo), 0)  # the largest left shift of num
+        if min(k_lo, p_lo) < -INT64_MAX or e_hi + k_hi > INT64_MAX or up > 62:
+            return None
+        if max(-p_lo, p_hi) << up > INT64_MAX:
+            return None
+        E = e + k
+        out = _normalised(np.left_shift(-p, np.maximum(-E, 0)), np.maximum(E, 0))
+        np.negative(k, out=out[:, 0])
+        return out
 
     def unpack(self, rows: np.ndarray) -> list:
         return list(zip(*(rows[:, j].tolist() for j in range(3))))
 
 
-def _extremes(v) -> tuple[int, int]:
-    """(min, max) of an int64 column or a Python int, as Python ints."""
-    if isinstance(v, np.ndarray):
-        return (int(v.min()), int(v.max())) if len(v) else (0, 0)
-    return v, v
+def _extremes(v: np.ndarray) -> tuple[int, int]:
+    """(min, max) of an int64 column as Python ints, (0, 0) when empty."""
+    return (int(v.min()), int(v.max())) if len(v) else (0, 0)
 
 
-def _compose(x, y, rows: np.ndarray) -> Optional[np.ndarray]:
-    """The dyadic products x * y, one factor the columns of ``rows`` and the
-    other one element, as new rows; None without the bound of
+def _compose(x, y) -> Optional[np.ndarray]:
+    """The dyadic products x * y of column triples, either one a single row
+    that is broadcast, as new rows; None without the bound of
     ``DyadicBatch``."""
     k1, p1, e1 = x
     k2, p2, e2 = y
@@ -181,83 +208,109 @@ def _compose(x, y, rows: np.ndarray) -> Optional[np.ndarray]:
         bound += P2 << (S - e2_lo + K)
     if bound > INT64_MAX or K + max(map(abs, _extremes(k2))) > INT64_MAX:
         return None
-    k1, p1, e1, k2, p2, e2 = (v if isinstance(v, np.ndarray) else np.int64(v) for v in (k1, p1, e1, k2, p2, e2))
     e2k = e2 - k1
     E = np.maximum(np.maximum(e2k, e1), 0)
     num = np.left_shift(p1, E - e1)
     if P2:
         num += np.left_shift(p2, E - e2k)
-    zero = num == 0
-    shift = np.minimum(np.bitwise_count((num & -num) - 1), E)
-    out = np.empty_like(rows)
+    out = _normalised(num, E)
     np.add(k1, k2, out=out[:, 0])
+    return out
+
+
+def _normalised(num: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Rows (k, num, E), k left for the caller to fill, with min(trailing
+    zeros of num, E) shifted out of num and E, and E = 0 where num = 0;
+    E >= 0."""
+    shift = np.minimum(np.bitwise_count((num & -num) - 1), E)
+    out = np.empty((len(num), 3), dtype=np.int64)
     np.right_shift(num, shift, out=out[:, 1])
     np.subtract(E, shift, out=out[:, 2])
-    out[zero, 2] = 0
+    out[num == 0, 2] = 0
     return out
 
 
 class FreeBatch:
-    """x -> x * y and y * x for reduced words of a free group packed as
+    """Products and inverses of reduced words of a free group packed as
     int64 rows.
 
     A row is one column: a leading 1 bit, then the word's letter codes, the
     first letter highest, b = (2 * rank - 1).bit_length() bits each, so a
     word of length L takes 1 + b * L bits and the identity is 1.  A product
-    by a reduced word y takes one step per code c of y: x * c drops the
-    last code of x when it is c ^ 1 and otherwise shifts x left and appends
-    c; c * x cancels or inserts a code just below the leading bit.  Each
-    step lengthens a row by at most b bits, so it is proved from the largest
-    row: it returns None when that row's bit length plus b is past 63.
+    a * b of reduced words cancels the last k codes of a against the first
+    k codes of b, c against c ^ 1.  By a single row b it is one masked step
+    per code c of b, which drops a's last code where it is c ^ 1 and
+    otherwise appends c.  Else k is found by comparing b's first j codes
+    with those of a^-1, one masked step per j up to 63 // b and none after
+    the last pair stops cancelling, and the product is a without k codes
+    shifted over b without k.  The product has at most the bit lengths of a
+    and b added less one, so it is proved from the largest rows: it returns
+    None when that sum is past 64.  The inverse reverses the codes and flips
+    each code's low bit, one masked step per code, and is no longer than
+    its row.
     """
 
     def __init__(self, rank: int):
         self.bits = (2 * rank - 1).bit_length()
         self._mask = (1 << self.bits) - 1
 
-    def pack(self, x) -> np.ndarray:
+    def pack(self, x) -> Optional[np.ndarray]:
         row = 1
         for c in x:
             row = row << self.bits | c
-        return np.array([[row]], dtype=np.int64)
+        return _pack([row])
 
-    def _fits(self, rows: np.ndarray) -> bool:
-        return (int(rows.max()) if len(rows) else 1).bit_length() + self.bits <= 63
-
-    def _append(self, rows: np.ndarray, c: int) -> Optional[np.ndarray]:
-        if not self._fits(rows):
+    def multiply(self, A: np.ndarray, B: np.ndarray) -> Optional[np.ndarray]:
+        b, mask = self.bits, self._mask
+        a_max = int(A.max()) if len(A) else 1
+        b_max = int(B.max()) if len(B) else 1
+        if a_max.bit_length() + b_max.bit_length() > 64:
             return None
-        b = self.bits
-        # a row above the mask holds at least one code
-        cancel = ((rows & self._mask) == c ^ 1) & (rows > self._mask)
-        return np.where(cancel, rows >> b, (rows << b) | c)
+        if len(B) == 1:
+            # one code c of b at a time: drop a's last code where it is
+            # c ^ 1, else append c; a row above the mask holds a code
+            out = A
+            for c in self._codes(b_max):
+                cancel = ((out & mask) == c ^ 1) & (out > mask)
+                out = np.where(cancel, out >> b, (out << b) | c)
+            return out if out is not A else A.copy()
+        # k codes cancel where b's first k codes are those of a^-1: the
+        # shifts keep each word's leading bit, so a b shorter than j never
+        # matches, and tail_a >= bj rules out an a shorter than j
+        tail_a, tail_b = _bit_length(A) - 1, _bit_length(B) - 1  # the bits of the codes
+        inverse = self.invert(A)
+        k = np.zeros(np.broadcast_shapes(A.shape, B.shape), dtype=np.int64)
+        live = np.ones(k.shape, dtype=bool)
+        for j in range(1, 63 // b + 1):
+            bj = b * j
+            live &= (tail_a >= bj) & (
+                (B >> np.maximum(tail_b - bj, 0)) == (inverse >> np.maximum(tail_a - bj, 0))
+            )
+            if not live.any():
+                break
+            k += live
+        kept = tail_b - b * k  # the bits of b's codes that stay
+        return ((A >> (b * k)) << kept) | (B & ((np.int64(1) << kept) - 1))
 
-    def _prepend(self, rows: np.ndarray, c: int) -> Optional[np.ndarray]:
-        if not self._fits(rows):
-            return None
-        b = self.bits
-        top = _bit_length(rows) - 1  # the leading bit's position
-        below = np.maximum(top - b, 0)  # the first code's lowest bit
-        cancel = (((rows >> below) & self._mask) == c ^ 1) & (top >= b)
-        one = np.int64(1)
-        shortened = (rows & ((one << below) - 1)) | (one << below)
-        return np.where(cancel, shortened, rows + (np.int64((1 << b | c) - 1) << top))
+    def _codes(self, row: int) -> list[int]:
+        """The letter codes of one row, first letter first."""
+        codes = []
+        while row > 1:
+            codes.append(row & self._mask)
+            row >>= self.bits
+        return codes[::-1]
 
-    def right_multiply(self, rows: np.ndarray, y) -> Optional[np.ndarray]:
-        """x -> x * y for a reduced word y, one code at a time."""
-        for c in y:
-            rows = self._append(rows, c)
-            if rows is None:
-                return None
-        return rows
-
-    def left_multiply(self, rows: np.ndarray, y) -> Optional[np.ndarray]:
-        """x -> y * x for a reduced word y, one code at a time from its end."""
-        for c in reversed(y):
-            rows = self._prepend(rows, c)
-            if rows is None:
-                return None
-        return rows
+    def invert(self, A: np.ndarray) -> np.ndarray:
+        b, mask = self.bits, self._mask
+        out = np.ones_like(A)
+        for j in range(1, 63 // b + 1):
+            # the j-th code from the end, where a has one
+            has = (A >> (b * j)) > 0
+            if not has.any():
+                break
+            code = ((A >> (b * (j - 1))) & mask) ^ 1
+            out = np.where(has, (out << b) | code, out)
+        return out
 
     def unpack(self, rows: np.ndarray) -> list:
         """Tuples of letter codes as Python ints, decoded one word length

@@ -25,8 +25,9 @@ Theory*, 2005, ch. 5).  The state behind a ball is one of two kinds:
   (``IntegerMatrixGroup``, ``DyadicAffineGroup`` and ``FreeGroupModel``,
   under any marking; see ``groups``): the elements are the rows of one
   int64 array.  The frontier rows with an open slot for letter c are
-  multiplied by c's image through ``right_multiply``, the product every
-  scan uses too.  A layer's products are deduplicated by one ``np.unique``
+  multiplied by c's image row through the batch's ``multiply``, the one
+  row product that every scan and check uses too.  A layer's products are
+  deduplicated by one ``np.unique``
   over int64 row keys of the frontier and the candidates, new vertices
   kept in first-occurrence order.  This is frontier search (Korf, Zhang,
   Thayer and Hohwald, J. ACM 52(5), 2005): the marking is symmetric, so
@@ -37,8 +38,9 @@ Theory*, 2005, ch. 5).  The state behind a ball is one of two kinds:
   and ``index`` are decoded from the rows on first use.
   ``select(row_filter)`` decodes only the rows that a filter on the int64
   rows passes, so a scan for a few subgroup members decodes those alone;
-  ``elements_at`` decodes only the vertices asked for, and ``packed_rows``
-  hands a scan the rows themselves.
+  ``elements_at`` decodes only the vertices asked for, ``packed_rows``
+  hands a scan the rows themselves, and ``vertices_of`` looks a batch of
+  rows up, -1 outside the ball.
   A stop-key search (``word_length_of``, ``geodesic_shortlex``) decodes and
   keys each layer once, and keeps the vertex it finds.
   Where a layer cannot prove that its products fit in int64, it and the
@@ -49,8 +51,9 @@ Theory*, 2005, ch. 5).  The state behind a ball is one of two kinds:
   and its reverse slot filled at once, so that an edge found from one end
   is never multiplied from the other.
 
-Other models (braid groups, direct products, tables) stay element by
-element, holding one product at a time.
+Other models (Garside braids, direct products, tables) stay element by
+element, holding one product at a time; the zoo's braid3 is an integer
+matrix marking and runs packed.
 A frontier search over (element, key) rows, measured when free2 still ran
 element by element, gave the same balls but held a whole layer's products:
 the free2 r=10 centralizer report peaked at 141 MB against 74 MB, and
@@ -130,14 +133,36 @@ class BallIndex:
         vs = np.flatnonzero(row_filter(rows))
         return vs.tolist(), layers.batch.unpack(rows[vs])
 
-    def packed_rows(self) -> Optional[tuple]:
-        """(batch action, int64 rows in vertex order) of a packed ball whose
-        elements are not decoded yet, else None: a scan then reads
-        ``elements``, which cost nothing more."""
+    def rows(self) -> Optional[tuple]:
+        """(batch action, int64 rows in vertex order) of a packed ball,
+        whether or not its elements are decoded; None for a ball held
+        element by element."""
         layers = self._layers
-        if not isinstance(layers, _PackedLayers) or layers._elements is not None:
+        if not isinstance(layers, _PackedLayers):
             return None
         return layers.batch, layers.seal().rows[0]
+
+    def packed_rows(self) -> Optional[tuple]:
+        """``rows()`` of a packed ball whose elements are not decoded yet,
+        else None: a scan then reads ``elements``, which cost nothing
+        more."""
+        if isinstance(self._layers, _PackedLayers) and self._layers._elements is None:
+            return self.rows()
+        return None
+
+    def vertices_of(self, rows: np.ndarray) -> np.ndarray:
+        """The vertex of each of these packed rows, -1 outside the ball, for
+        a packed ball: one ``np.unique`` over the ball's rows then the
+        queries, whose first occurrences are ball vertices exactly for the
+        rows in the ball."""
+        from ._packed import row_keys  # loaded with the batch action
+
+        ball_rows = self.rows()[1]
+        n = len(ball_rows)
+        keys = row_keys(np.concatenate((ball_rows, rows)))
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        found = first[inverse[n:]]
+        return np.where(found < n, found, -1)
 
     def elements_at(self, vertices) -> list:
         """The elements of these vertices; a packed ball whose elements are
@@ -349,6 +374,8 @@ class _PackedLayers:
     def __init__(self, G: MarkedGroup, batch):
         self.G = G
         self.batch = batch
+        # one row per letter image, None for an image past int64
+        self.images = [batch.pack(y) for y in G.letter_images]
         m = len(G.letter_images)
         self.rows = [batch.pack(G.model.identity)]
         self.tables = [np.full((1, m), _UNKNOWN, dtype=np.int32)]
@@ -398,10 +425,11 @@ class _PackedLayers:
         slots = np.flatnonzero(table_f.ravel() == _UNKNOWN)
         src, code = np.divmod(slots, m)
         cand = np.empty((len(slots), rows_f.shape[1]), dtype=np.int64)
-        for c, y in enumerate(self.G.letter_images):
+        multiply = self.batch.multiply
+        for c, y in enumerate(self.images):
             sel = np.flatnonzero(code == c)
             if len(sel):
-                out = self.batch.right_multiply(rows_f[src[sel]], y)
+                out = None if y is None else multiply(rows_f[src[sel]], y)
                 if out is None:
                     return None
                 cand[sel] = out

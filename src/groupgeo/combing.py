@@ -36,6 +36,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
+import numpy as np
+
 from . import cayley
 from ._kernel import ops
 from ._kernel._ops_py import multi_source_distances
@@ -254,10 +256,29 @@ def _quasi_geodesic_constants(segments: list[tuple]) -> tuple:
     return Fraction(ln, ld), lam_witness, Fraction(en, ed), eps_witness
 
 
-def check_equivariance(
-    sigma: Bicombing, sample: Iterable[tuple[Element, Element, Element]]
-) -> bool:
-    """Vertexwise: g * sigma(x, y) equals sigma(gx, gy) on every triple."""
+def check_equivariance(sigma: Bicombing, sample) -> bool:
+    """Vertexwise: g * sigma(x, y) equals sigma(gx, gy) on every triple.
+
+    ``sample`` holds triples (g, x, y) of elements, or is an integer array
+    of shape (k, 3) whose rows are triples of vertices of a
+    ``ShortlexBicombing``'s ball.  The triples are checked in order: the
+    answer is False at the first one whose lines differ, and CapExceeded is
+    raised at the first one whose line leaves the combing ball.  Vertex
+    triples on a packed ball are checked on its rows, all at once
+    (``_equivariance_on_rows``); any other sample, and vertex triples whose
+    products have no int64 proof, run the element loop, which is the
+    reference."""
+    if isinstance(sample, np.ndarray):
+        status = _equivariance_on_rows(sigma, sample)
+        if status is not None:
+            failed = np.flatnonzero(status != 1)
+            if not len(failed):
+                return True
+            if status[failed[0]] < 0:
+                raise CapExceeded(f"element beyond the combing cap {sigma.cap}")
+            return False
+        flat = iter(sigma.index.elements_at(sample.ravel().tolist()))
+        sample = zip(flat, flat, flat)
     model = sigma.group.model
     for g, x, y in sample:
         p = sigma.line(x, y)
@@ -268,6 +289,51 @@ def check_equivariance(
             if model.canonical_key(lhs) != model.canonical_key(q.at(t)):
                 return False
     return True
+
+
+def _equivariance_on_rows(sigma: Bicombing, triples: np.ndarray) -> Optional[np.ndarray]:
+    """Per vertex triple (g, x, y) of sigma's ball: 1 when g * sigma(x, y)
+    equals sigma(gx, gy) vertex by vertex, 0 when they differ, -1 when
+    x^-1 y or (gx)^-1 gy has no vertex in the ball (the element loop raises
+    CapExceeded there).  With G, X, Y the triples' rows, u the vertex of
+    X^-1 Y, u' that of (GX)^-1 GY and P the prefix matrix, the lines'
+    vertices at time t are X * R[P[u, t]] and GX * R[P[u', t]], padded with
+    their ends as ``DiscretePath.at`` pads, so the comparison at every t of
+    the ball's radius is the element loop's.  Every packing is canonical,
+    so equal rows are equal elements.  None for any bicombing but the
+    shortlex one, for a ball held element by element, and when a product
+    has no int64 proof."""
+    if type(sigma) is not ShortlexBicombing:
+        return None
+    idx = sigma.index
+    packed = idx.rows()
+    if packed is None:
+        return None
+    batch, rows = packed
+    multiply, invert = batch.multiply, batch.invert
+
+    def product(A, B):
+        return None if A is None or B is None else multiply(A, B)
+
+    G, X, Y = rows[triples[:, 0]], rows[triples[:, 1]], rows[triples[:, 2]]
+    GX, GY = multiply(G, X), multiply(G, Y)
+    U = product(invert(X), Y)
+    U2 = None if GX is None else product(invert(GX), GY)
+    if U is None or U2 is None:
+        return None
+    k = len(triples)
+    u = idx.vertices_of(np.concatenate((U, U2)))
+    outside = (u[:k] < 0) | (u[k:] < 0)
+    P = idx.prefix_matrix()
+    T = P.shape[1]
+    # row i * T + t holds triple i at time t
+    at = P[np.maximum(u, 0)].reshape(2, k * T)
+    lhs = product(np.repeat(G, T, axis=0), product(np.repeat(X, T, axis=0), rows[at[0]]))
+    rhs = product(np.repeat(GX, T, axis=0), rows[at[1]])
+    if lhs is None or rhs is None:
+        return None
+    same = (lhs == rhs).all(axis=1).reshape(k, T).all(axis=1)
+    return np.where(outside, -1, same.astype(np.int8))
 
 
 _DENSE_DISTANCE_LIMIT = 50_000  # n^2 uint8 distance matrix cap (2.5 GB)
@@ -393,11 +459,12 @@ def _conjugators_in_ball(
         return
     yield from by_element([0], [G.model.identity])
     batch, rows = packed
+    gamma_row, a_row = batch.pack(gamma), batch.pack(a)
     start = 1
     for count in idx.sphere_sizes[1: n + 1]:
         layer = rows[start:start + count]
-        right = batch.right_multiply(layer, gamma)
-        left = None if right is None else batch.left_multiply(layer, a)
+        right = None if gamma_row is None else batch.multiply(layer, gamma_row)
+        left = None if right is None or a_row is None else batch.multiply(a_row, layer)
         if left is None:
             yield from by_element(range(start, start + count), batch.unpack(layer))
         else:

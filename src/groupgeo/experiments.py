@@ -9,7 +9,7 @@ run.  The zoo members all carry proven-exact canonical forms:
 * ``sl2z``      SL(2, Z) as integer matrices, marked by torus mapping classes
 * ``bs12``      Baumslag-Solitar BS(1,2) as dyadic affine maps
 * ``heis3``     integral Heisenberg group (unitriangular 3x3 matrices)
-* ``braid3``    braid group on 3 strands in Garside normal form
+* ``braid3``    braid group on 3 strands as faithful 4x4 integer matrices
 * ``kleinfour`` Z2 x Z2 as a multiplication table
 """
 
@@ -23,6 +23,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from . import cayley, combing, distortion, surfaces
 from .errors import GroupGeoError, MissingPresentation
@@ -110,11 +112,28 @@ def _heis3_group() -> MarkedGroup:
 
 
 def _braid3_group() -> MarkedGroup:
-    model = BraidGroup(3)
+    """B_3 as 4 x 4 integer matrices: sigma_i maps to diag(rho(sigma_i),
+    [[1, 1], [0, 1]]), so a braid b is diag(rho(b), [[1, e(b)], [0, 1]]).
+
+    rho: B_3 -> SL(2, Z) sends sigma_1 to [[1, 1], [0, 1]] and sigma_2 to
+    [[1, 0], [-1, 1]]; both sides of the braid relation map to
+    [[0, 1], [-1, 0]].  Its kernel is generated by Delta^4, where
+    Delta = sigma_1 sigma_2 sigma_1: Delta^2 generates the centre,
+    B_3 / <Delta^2> is PSL(2, Z) and rho(Delta^2) = -I.  Delta^4 has
+    exponent sum e = 12, so no nontrivial power of it has exponent sum 0,
+    and b -> (rho(b), e(b)) is injective: the marking is faithful, and
+    equal matrices are equal braids.  (B_3 is the mapping class group of
+    the torus with one boundary component, and rho is the capping map onto
+    Mod(T^2) = SL(2, Z); Farb and Margalit, *A Primer on Mapping Class
+    Groups*, 2012.)  Braid configs and more strands use ``BraidGroup``.
+    """
+    model = IntegerMatrixGroup(4)
+    s1 = model.element([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+    s2 = model.element([[1, 0, 0, 0], [-1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
     return MarkedGroup(
         model=model,
         alphabet=Alphabet(("s1", "s2")),
-        marking=(model.generator(0), model.generator(1)),
+        marking=(s1, s2),
         presentation=Presentation.parse(
             ("s1", "s2"), ("s1 s2 s1 s2^-1 s1^-1 s2^-1",)
         ),
@@ -516,6 +535,48 @@ _CENTRALIZER_WORDS = {
 _EQUIVARIANCE_TRIPLES = 1000
 
 
+def _equivariance_triples(idx: cayley.BallIndex, seed: int) -> np.ndarray:
+    """The equivariance spot check's seeded random triples (g, x, y), as
+    vertices of the ball: x is kept whenever x^-1 y lies in the ball,
+    otherwise the line is anchored at the identity, vertex 0.  On a packed
+    ball that test is one batched inverse, product and lookup
+    (``_quotients_in_ball_on_rows``); on any other, or without an int64
+    proof, one product and key per triple."""
+    rng = random.Random(seed)
+    vertices = range(len(idx))
+    triples = np.array(
+        [[rng.choice(vertices) for _ in range(3)] for _ in range(_EQUIVARIANCE_TRIPLES)],
+        dtype=np.intp,
+    )
+    kept = _quotients_in_ball_on_rows(idx, triples[:, 1], triples[:, 2])
+    if kept is None:
+        kept = _quotients_in_ball(idx, triples[:, 1], triples[:, 2])
+    triples[~kept, 1] = 0
+    return triples
+
+
+def _quotients_in_ball_on_rows(idx: cayley.BallIndex, xs: np.ndarray, ys: np.ndarray):
+    """Whether x^-1 y lies in the ball, per pair of vertices, on packed
+    rows; None for a ball held element by element or without an int64
+    proof."""
+    packed = idx.rows()
+    if packed is None:
+        return None
+    batch, rows = packed
+    inverse = batch.invert(rows[xs])
+    quotients = None if inverse is None else batch.multiply(inverse, rows[ys])
+    return None if quotients is None else idx.vertices_of(quotients) >= 0
+
+
+def _quotients_in_ball(idx: cayley.BallIndex, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Whether x^-1 y lies in the ball, per pair of vertices, by elements."""
+    model, elements, index = idx.group.model, idx.elements, idx.index
+    return np.array([
+        model.canonical_key(model.multiply(model.invert(elements[x]), elements[y])) in index
+        for x, y in zip(xs.tolist(), ys.tolist())
+    ], dtype=bool)
+
+
 def run_combing_report(
     group_name: str,
     radius: int,
@@ -541,20 +602,7 @@ def run_combing_report(
     sample = [(ident, g) for g in idx.elements]
     qg = combing.check_quasi_geodesic(sigma, sample)
     bounded = combing.check_bounded(sigma, G, radius)
-    rng = random.Random(seed)
-    elements = idx.elements
-    # random triples (g, x, y); x is kept whenever x^-1 y stays in the ball,
-    # otherwise the line is anchored at the identity
-    triples = []
-    for _ in range(_EQUIVARIANCE_TRIPLES):
-        g = rng.choice(elements)
-        x = rng.choice(elements)
-        y = rng.choice(elements)
-        u_key = G.model.canonical_key(G.model.multiply(G.model.invert(x), y))
-        if u_key not in idx.index:
-            x = ident
-        triples.append((g, x, y))
-    equivariant = combing.check_equivariance(sigma, triples)
+    equivariant = combing.check_equivariance(sigma, _equivariance_triples(idx, seed))
     a = evaluate(G.alphabet.parse_word(_CENTRALIZER_WORDS[group_name]), G)
     central = combing.centralizer_quasiconvexity_report(G, a, sigma, radius)
     rows = [

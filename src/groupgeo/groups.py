@@ -9,7 +9,7 @@ Letter products.  Enumeration, the ball's neighbour table and the combing
 lines only ever multiply by a marked letter.  ``MarkedGroup.letter_images``
 holds the image of each letter code, built once with the marking, and
 every such product is ``multiply(x, letter_images[c])``: a model has one
-product per element, as a packed batch has one row product per side
+product per element, as a packed batch has one row product
 (Epstein et al., *Word Processing in Groups*, 1992, ch. 2-3).
 
 Batch actions.  Ball enumeration expands a whole layer at once through the
@@ -18,29 +18,35 @@ marking.  Three models have a packed one (module ``_packed``), acting on
 int64 rows, one row per element:
 
 * ``IntegerMatrixGroup``: the d*d entries in row-major order; a product by
-  an elementary matrix on the right is one column operation on the whole
-  array, any other product one batched matmul.
-* ``DyadicAffineGroup``: the columns (k, num, exp); a product is a few
-  vectorised shifts, and normalisation counts trailing zeros on
+  one elementary matrix on the right is one column operation on the whole
+  array, any other product one batched matmul, and the inverse the exact
+  adjugate (determinant +-1) on columns.
+* ``DyadicAffineGroup``: the columns (k, num, exp); a product or inverse
+  is a few vectorised shifts, and normalisation counts trailing zeros on
   ``num & -num`` with exact integer operations.
 * ``FreeGroupModel``: a leading 1 bit, then one fixed-width code per
-  letter; a product by a word drops the last code or shifts and appends
-  one, once per letter of the word.
+  letter; a product by one word drops the last code or appends one, once
+  per letter of the word, and a product of two arrays cancels where the
+  words meet in one masked step per cancelled code.
 
 Every packing is canonical, so equal rows are equal elements.  A packed
-batch action has one product per side, ``right_multiply(rows, y)`` and
-``left_multiply(rows, y)`` for an arbitrary element y: enumeration passes
-it the letter images, and a scan tests a whole layer of a ball at once.
+batch action has one product, ``multiply(A, B)``, on row arrays of one
+length or with either one a single row that is broadcast, and one inverse,
+``invert(A)``; ``pack(y)`` makes an element a row.  Enumeration passes
+``multiply`` the letter images' rows, a scan tests a whole layer of a ball
+at once, and the equivariance check multiplies the rows of its triples
+pairwise.
 
-The int64 bound rule: before each product, a batch action proves from y
-and the largest |entry| M of its input rows that no result overflows, with
-|result| <= 2M for an elementary matrix and <= d * M * max|y| for a matmul
+The int64 bound rule: before each product or inverse, a batch action proves
+from the largest |entry| of its inputs that no result or intermediate
+overflows, with |result| <= 2M for an elementary matrix and
+<= d * M_A * M_B for a matmul, and d! * M^d for a matrix inverse
 (``DyadicBatch`` states its bound on num, ``FreeBatch`` on the bit length).
-When the proof fails, as it does at once for a y with an entry beyond
-int64, it returns None and enumeration goes on element by element over
-Python integers, so no wrapped integer is ever stored.  Every other model
-returns None from the start: its batch action is the default, one
-``multiply`` call per open slot.
+When the proof fails, as it does at once for an element with an entry of
+-2^63 (one past int64 has no row at all), it returns None and enumeration
+goes on element by element over Python integers, so no wrapped integer is
+ever stored.  Every other model returns None from the start: its batch
+action is the default, one ``multiply`` call per open slot.
 
 General products.  ``multiply`` and ``invert`` of arbitrary elements (the
 combing checks, conjugacy tests, every product by a letter image) cost what

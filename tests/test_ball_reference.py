@@ -19,7 +19,7 @@ from groupgeo import cayley
 from groupgeo._packed import INT64_MAX, DyadicBatch, FreeBatch, MatrixBatch
 from groupgeo.errors import MemoryCapExceeded
 from groupgeo.experiments import get_group, group_from_config
-from groupgeo.groups import FreeGroupModel, MarkedGroup, evaluate
+from groupgeo.groups import DyadicAffineGroup, FreeGroupModel, IntegerMatrixGroup, MarkedGroup, evaluate
 from groupgeo.words import Alphabet
 
 _UNKNOWN = -2
@@ -218,17 +218,17 @@ class TestClosedForms:
 
 
 def _count_batch_rows(G, monkeypatch):
-    """Wrap ``right_multiply`` of G's batch action class; the list holds the
-    rows passed to it so far."""
+    """Wrap ``multiply`` of G's batch action class; the list holds the rows
+    of its left factors so far."""
     rows = [0]
     cls = type(G.model.batch_action())
-    right_multiply = cls.right_multiply
+    multiply = cls.multiply
 
-    def counted(self, x, y):
-        rows[0] += len(x)
-        return right_multiply(self, x, y)
+    def counted(self, A, B):
+        rows[0] += len(A)
+        return multiply(self, A, B)
 
-    monkeypatch.setattr(cls, "right_multiply", counted)
+    monkeypatch.setattr(cls, "multiply", counted)
     return rows
 
 
@@ -262,34 +262,35 @@ class TestInt64Boundary:
         assert any(abs(num) > INT64_MAX or exp > 62 for _, num, exp in idx.elements)
 
     def test_elementary_bound_is_2M(self):
-        y = ((1, 1), (0, 1))
         batch = MatrixBatch(2)
+        y = batch.pack(((1, 1), (0, 1)))
         top = 2 ** 62 - 1
         rows = np.array([[top, top, -top, 5]], dtype=np.int64)
-        assert batch.right_multiply(rows, y).tolist() == [[top, 2 * top, -top, 5 - top]]
+        assert batch.multiply(rows, y).tolist() == [[top, 2 * top, -top, 5 - top]]
         rows[0, 2] = -(2 ** 62)  # M = 2^62: 2M is past int64
-        assert batch.right_multiply(rows, y) is None
+        assert batch.multiply(rows, y) is None
         # at d = 3 the matmul bound 3M is past int64 but the column
-        # operation's 2M is not: right_multiply picks the column operation
-        # for an elementary y, and left_multiply, a matmul, has no proof
-        y3 = ((1, 0, 0), (0, 1, 0), (-1, 0, 1))  # column 0 minus column 2
+        # operation's 2M is not: multiply picks the column operation for one
+        # elementary row on the right, and a matmul, which has no proof,
+        # for the same row on the left
+        y3 = MatrixBatch(3).pack(((1, 0, 0), (0, 1, 0), (-1, 0, 1)))  # column 0 minus column 2
         rows3 = np.array([[top, 0, 0, 0, top, 0, top, 0, top]], dtype=np.int64)
-        assert MatrixBatch(3).right_multiply(rows3, y3).tolist() == [[top, 0, 0, 0, top, 0, 0, 0, top]]
-        assert MatrixBatch(3).left_multiply(rows3, y3) is None
+        assert MatrixBatch(3).multiply(rows3, y3).tolist() == [[top, 0, 0, 0, top, 0, 0, 0, top]]
+        assert MatrixBatch(3).multiply(y3, rows3) is None
 
     def test_matmul_bound_is_d_M_max_y(self):
-        y = ((2, 3), (1, 2))
         batch = MatrixBatch(2)
+        y = batch.pack(((2, 3), (1, 2)))
         M = INT64_MAX // 6  # d * M * max|y| = 6M
         rows = np.array([[M, -M, M, M]], dtype=np.int64)
-        assert batch.right_multiply(rows, y).tolist() == [[2 * M - M, 3 * M - 2 * M, 3 * M, 5 * M]]
-        assert batch.right_multiply(rows + np.array([[1, 0, 0, 0]]), y) is None
+        assert batch.multiply(rows, y).tolist() == [[2 * M - M, 3 * M - 2 * M, 3 * M, 5 * M]]
+        assert batch.multiply(rows + np.array([[1, 0, 0, 0]]), y) is None
 
     def test_dyadic_bound(self):
         batch = DyadicBatch()
         rows = np.array([[0, 2 ** 61, 0]], dtype=np.int64)
-        assert batch.right_multiply(rows, (0, INT64_MAX - 2 ** 61, 0)).tolist() == [[0, INT64_MAX, 0]]
-        assert batch.right_multiply(rows, (0, 3 * 2 ** 61, 0)) is None  # 2^61 + 3 * 2^61 = 2^63
+        assert batch.multiply(rows, batch.pack((0, INT64_MAX - 2 ** 61, 0))).tolist() == [[0, INT64_MAX, 0]]
+        assert batch.multiply(rows, batch.pack((0, 3 * 2 ** 61, 0))) is None  # 2^61 + 3 * 2^61 = 2^63
 
     def test_free_rows_up_to_63_bits(self):
         # rank 2 takes 2 bits per code: a word of length 30 is 61 bits and
@@ -301,11 +302,14 @@ class TestInt64Boundary:
         assert (int(rows30[0, 0]).bit_length(), int(rows31[0, 0]).bit_length()) == (61, 63)
         for code in range(4):
             y = (code,)
-            assert batch.unpack(batch.right_multiply(rows30, y)) == [model.multiply(w30, y)]
-            assert batch.unpack(batch.left_multiply(rows30, y)) == [model.multiply(y, w30)]
+            Y = batch.pack(y)
+            assert batch.unpack(batch.multiply(rows30, Y)) == [model.multiply(w30, y)]
+            assert batch.unpack(batch.multiply(Y, rows30)) == [model.multiply(y, w30)]
             # no proof even where the product would cancel a code
-            assert batch.right_multiply(rows31, y) is None
-            assert batch.left_multiply(rows31, y) is None
+            assert batch.multiply(rows31, Y) is None
+            assert batch.multiply(Y, rows31) is None
+        # a word of 32 codes has 65 bits and no row
+        assert batch.pack(w31 + (2,)) is None
         assert batch.unpack(np.concatenate((rows30, rows31))) == [w30, w31]
 
     def test_free_words_past_63_bits_run_on_tuples(self, monkeypatch):
@@ -335,7 +339,8 @@ class TestInt64Boundary:
               for num in (-12, -1, 0, 1, 6, 40) for exp in (0, 1, 3)]
         rows = np.array(xs, dtype=np.int64)
         for y in G.letter_images:
-            assert batch.unpack(batch.right_multiply(rows, y)) == [model.multiply(x, y) for x in xs]
+            assert batch.unpack(batch.multiply(rows, batch.pack(y))) == [model.multiply(x, y) for x in xs]
+        assert batch.unpack(batch.invert(rows)) == [model.invert(x) for x in xs]
 
 
 class TestCaps:
@@ -469,17 +474,26 @@ def _sample_elements(G, rng, count, radius):
 
 
 class TestRowProducts:
-    """right_multiply and left_multiply of packed rows by an arbitrary
-    element equal ``multiply`` row by row, and return None without a proof."""
+    """The packed product of rows by one arbitrary element on either side,
+    and of rows by rows pairwise, and the packed inverse equal the model's
+    ``multiply`` and ``invert`` row by row, and return None without a
+    proof."""
 
     @staticmethod
     def _check(G, xs, ys):
-        batch = G.model.batch_action()
+        batch, model = G.model.batch_action(), G.model
         rows = np.concatenate([batch.pack(x) for x in xs])
-        multiply = G.model.multiply
+        multiply = model.multiply
         for y in ys:
-            assert batch.unpack(batch.right_multiply(rows, y)) == [multiply(x, y) for x in xs]
-            assert batch.unpack(batch.left_multiply(rows, y)) == [multiply(y, x) for x in xs]
+            Y = batch.pack(y)
+            assert batch.unpack(batch.multiply(rows, Y)) == [multiply(x, y) for x in xs]
+            assert batch.unpack(batch.multiply(Y, rows)) == [multiply(y, x) for x in xs]
+        # row i of xs by row i of the ys, cycled
+        pairs = [ys[i % len(ys)] for i in range(len(xs))]
+        B = np.concatenate([batch.pack(y) for y in pairs])
+        assert batch.unpack(batch.multiply(rows, B)) == [multiply(x, y) for x, y in zip(xs, pairs)]
+        assert batch.unpack(batch.multiply(B, rows)) == [multiply(y, x) for x, y in zip(xs, pairs)]
+        assert batch.unpack(batch.invert(rows)) == [model.invert(x) for x in xs]
 
     @pytest.mark.parametrize("group", ["bs12", "heis3", "sl2z"])
     def test_zoo(self, group):
@@ -522,16 +536,29 @@ class TestRowProducts:
         batch = G.model.batch_action()
         M = INT64_MAX // 6  # d * M * max|y| = 6M
         rows = np.array([[M, 0, 0, 1]], dtype=np.int64)
-        y = ((2, 3), (1, 2))
-        assert batch.right_multiply(rows, y).tolist() == [[2 * M, 3 * M, 1, 2]]
-        assert batch.left_multiply(rows, y).tolist() == [[2 * M, 3, M, 2]]
+        y = batch.pack(((2, 3), (1, 2)))
+        assert batch.multiply(rows, y).tolist() == [[2 * M, 3 * M, 1, 2]]
+        assert batch.multiply(y, rows).tolist() == [[2 * M, 3, M, 2]]
         rows[0, 0] += 1
-        assert batch.right_multiply(rows, y) is None
-        assert batch.left_multiply(rows, y) is None
-        # an element with an entry past int64 has no proof on any rows
-        big = ((1, 2 ** 63), (0, 1))
-        assert batch.right_multiply(rows[:, :] * 0 + 1, big) is None
-        assert batch.left_multiply(rows[:, :] * 0 + 1, big) is None
+        assert batch.multiply(rows, y) is None
+        assert batch.multiply(y, rows) is None
+        # an element with an entry past int64 has no row, and one with an
+        # entry of -2^63 has a row but no proof on any rows
+        assert batch.pack(((1, 2 ** 63), (0, 1))) is None
+        edge = batch.pack(((1, -(2 ** 63)), (0, 1)))
+        ones = rows * 0 + 1
+        assert batch.multiply(ones, edge) is None
+        assert batch.multiply(edge, ones) is None
+        assert batch.invert(edge) is None
+
+    def test_matrix_inverse_bound_is_d_factorial_M_to_the_d(self):
+        # 2 * M^2 bounds the 2 x 2 adjugate's determinant: M = 2^31 - 1
+        # fits, M = 2^31 does not
+        batch, model = MatrixBatch(2), IntegerMatrixGroup(2)
+        for M, fits in ((2 ** 31 - 1, True), (2 ** 31, False)):
+            x = model.element(((1, M), (0, -1)))
+            inverse = batch.invert(batch.pack(x))
+            assert (batch.unpack(inverse) == [model.invert(x)]) if fits else inverse is None
 
     def test_dyadic_bound(self):
         G = get_group("bs12")
@@ -539,14 +566,116 @@ class TestRowProducts:
         x = (0, 2 ** 61, 0)
         rows = np.array([x], dtype=np.int64)
         fits, past = (0, INT64_MAX - 2 ** 61, 0), (0, 3 * 2 ** 61, 0)
-        assert batch.unpack(batch.right_multiply(rows, fits)) == [model.multiply(x, fits)]
-        assert batch.unpack(batch.left_multiply(rows, fits)) == [model.multiply(fits, x)]
-        assert batch.right_multiply(rows, past) is None  # 2^61 + 3 * 2^61 = 2^63
-        assert batch.left_multiply(rows, past) is None
+        assert batch.unpack(batch.multiply(rows, batch.pack(fits))) == [model.multiply(x, fits)]
+        assert batch.unpack(batch.multiply(batch.pack(fits), rows)) == [model.multiply(fits, x)]
+        assert batch.multiply(rows, batch.pack(past)) is None  # 2^61 + 3 * 2^61 = 2^63
+        assert batch.multiply(batch.pack(past), rows) is None
         # y = 2^k x + 1 with k = 2^63 - 1: x * y only adds k, but y * x
         # shifts x's num by k, and k + k is past int64
-        huge = (INT64_MAX, 1, 0)
-        assert batch.unpack(batch.right_multiply(rows, huge)) == [model.multiply(x, huge)]
-        assert batch.left_multiply(rows, huge) is None
-        assert batch.right_multiply(np.array([huge], dtype=np.int64), huge) is None
+        huge = batch.pack((INT64_MAX, 1, 0))
+        assert batch.unpack(batch.multiply(rows, huge)) == [model.multiply(x, (INT64_MAX, 1, 0))]
+        assert batch.multiply(huge, rows) is None
+        assert batch.multiply(huge, huge) is None
 
+    def test_dyadic_inverse_bound(self):
+        # x = 2^-62 v + n has the inverse 2^62 v - n 2^62: n = 1 fits, and
+        # n = 2 reaches -2^63, past the proof's bound; x = 2^-k v + 1 with k past 62 shifts by k
+        batch, model = DyadicBatch(), DyadicAffineGroup()
+        x = (-62, 1, 0)
+        assert batch.unpack(batch.invert(batch.pack(x))) == [model.invert(x)] == [(62, -(2 ** 62), 0)]
+        assert batch.invert(batch.pack((-62, 2, 0))) is None
+        assert batch.invert(batch.pack((-(2 ** 62), 1, 0))) is None
+        assert batch.invert(batch.pack((0, -(2 ** 63), 0))) is None
+
+
+
+# entries that stay far inside int64, and entries anywhere in it
+_small = st.integers(-3, 3)
+_edge = st.one_of(_small, st.integers(-(2 ** 63), 2 ** 63 - 1),
+                  st.sampled_from([2 ** 31, 2 ** 62 - 1, -(2 ** 62), 2 ** 63 - 1, -(2 ** 63)]))
+
+
+def _assert_products_agree(batch, model, xs, ys, small):
+    """multiply on rows, pairwise and broadcast both ways, and invert equal
+    the model's products and inverses of the decoded elements, or are None;
+    never None when ``small`` holds.  Elements that have no row are left
+    out."""
+    xs = [x for x in xs if batch.pack(x) is not None]
+    ys = [y for y in ys if batch.pack(y) is not None][:len(xs)]
+    if not ys:
+        return
+    xs = xs[:len(ys)]
+    A = np.concatenate([batch.pack(x) for x in xs])
+    B = np.concatenate([batch.pack(y) for y in ys])
+    cases = [
+        (A, B, [model.multiply(x, y) for x, y in zip(xs, ys)]),
+        (A, B[:1], [model.multiply(x, ys[0]) for x in xs]),
+        (A[:1], B, [model.multiply(xs[0], y) for y in ys]),
+        (B, A[-1:], [model.multiply(y, xs[-1]) for y in ys]),
+    ]
+    for P, Q, want in cases:
+        out = batch.multiply(P, Q)
+        assert (out is None and not small) or batch.unpack(out) == want
+    inverse = batch.invert(A)
+    assert (inverse is None and not small) or batch.unpack(inverse) == [model.invert(x) for x in xs]
+
+
+class TestRowProductProperties:
+    """Random elements, some with entries at the int64 edge."""
+
+    @given(st.integers(2, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matrix(self, dim, data):
+        model = IntegerMatrixGroup(dim)
+        small = data.draw(st.booleans())
+        entries = _small if small else _edge
+
+        def element():
+            # a signed unipotent matrix times a small unimodular one
+            m = [[int(i == j) for j in range(dim)] for i in range(dim)]
+            for i in range(dim):
+                for j in range(i + 1, dim):
+                    m[i][j] = data.draw(entries)
+            m[0] = [-v for v in m[0]] if data.draw(st.booleans()) else m[0]
+            ops = data.draw(_ops) if small else []
+            return model.multiply(model.element(m), model.element(_unimodular(dim, ops)))
+
+        xs = [element() for _ in range(data.draw(st.integers(1, 6)))]
+        ys = [element() for _ in range(len(xs))]
+        _assert_products_agree(MatrixBatch(dim), model, xs, ys, small)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_dyadic(self, data):
+        model = DyadicAffineGroup()
+        small = data.draw(st.booleans())
+        # the model shifts by up to |k| + exp bits, so those stay below 80
+        # and reach past int64 only through num
+        ks = st.integers(-6, 6) if small else st.integers(-80, 80)
+        nums = st.integers(-40, 40) if small else _edge
+        exps = st.integers(0, 6) if small else st.integers(0, 80)
+
+        def element():
+            return model.element(data.draw(ks), data.draw(nums), data.draw(exps))
+
+        xs = [element() for _ in range(data.draw(st.integers(1, 6)))]
+        ys = [element() for _ in range(len(xs))]
+        _assert_products_agree(DyadicBatch(), model, xs, ys, small)
+
+    @given(st.integers(1, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_free(self, rank, data):
+        model = FreeGroupModel(rank)
+        batch = FreeBatch(rank)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        # 2 bits a code at ranks 2 and 3: 31 codes are 63 bits
+        longest = data.draw(st.sampled_from([12, 31, 62]))
+        xs = [_random_free_word(rng, rank, rng.randrange(longest + 1)) for _ in range(6)]
+        # y cancels all of some rows, part of others, and none of the rest
+        ys = [model.invert(xs[0]), model.invert(xs[1])[:3], ()]
+        ys += [_random_free_word(rng, rank, rng.randrange(longest + 1)) for _ in range(3)]
+        small = all(1 + batch.bits * len(w) <= 32 for w in xs + ys)
+        _assert_products_agree(batch, model, xs, ys, small)
+        packed = [x for x in xs if batch.pack(x) is not None]
+        if packed:
+            assert batch.invert(np.concatenate([batch.pack(x) for x in packed])) is not None

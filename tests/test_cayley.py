@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from groupgeo import cayley, cli, combing
 from groupgeo.errors import CapExceeded, MemoryCapExceeded
-from groupgeo.experiments import get_group
+from groupgeo.experiments import get_group, group_from_config
 from groupgeo.groups import FreeGroupModel, MarkedGroup, evaluate
 from groupgeo.words import Alphabet, Word, reduce, shortlex_compare
 
@@ -336,10 +336,10 @@ def _sl2z_with_inverse_letter():
 
 
 def _count_products(G, monkeypatch):
-    """Wrap ``multiply`` of G's model instance, and ``right_multiply`` of its
+    """Wrap ``multiply`` of G's model instance, and ``multiply`` of its
     packed batch action's class, if any, in counters; ``calls[0]`` counts
-    per-element products and ``calls[1]`` the rows passed to the batch
-    action."""
+    per-element products and ``calls[1]`` the rows of the batch action's
+    left factors."""
     calls = [0, 0]
     multiply = G.model.multiply
 
@@ -351,13 +351,13 @@ def _count_products(G, monkeypatch):
     batch = G.model.batch_action()
     if batch is not None:
         cls = type(batch)
-        right_multiply = cls.right_multiply
+        batch_multiply = cls.multiply
 
-        def counted_batch(self, rows, y):
-            calls[1] += len(rows)
-            return right_multiply(self, rows, y)
+        def counted_batch(self, A, B):
+            calls[1] += len(A)
+            return batch_multiply(self, A, B)
 
-        monkeypatch.setattr(cls, "right_multiply", counted_batch)
+        monkeypatch.setattr(cls, "multiply", counted_batch)
     return calls
 
 
@@ -415,6 +415,20 @@ class TestClosedTable:
         make, radius = DEGENERATE_MARKINGS[case]
         idx = cayley.ball(make(), radius)
         assert idx._neighbour_table().tolist() == _reference_table(idx).tolist()
+
+    def test_close_without_a_proof_runs_on_python_ints(self):
+        # a's image has an entry of 2^62 - 1: layer 1 is packed, and closing
+        # it multiplies rows with that entry by a, which has no int64 proof
+        G = group_from_config({
+            "kind": "matrix", "dim": 2, "alphabet": ["a", "b"],
+            "marking": {"a": [["1", str(2 ** 62 - 1)], ["0", "1"]], "b": [["1", "0"], ["1", "1"]]},
+        })
+        idx = cayley.ball(G, 1)
+        assert isinstance(idx._layers, cayley._PackedLayers)
+        table = idx._neighbour_table()
+        assert isinstance(idx._layers, cayley._ElementLayers)
+        assert table.tolist() == _reference_table(idx).tolist()
+        assert (table[1:] == -1).any()
 
     def test_stop_key_ball_reused_by_bicombing(self):
         idx = _graph_case("sl2z", 6, "a b a")

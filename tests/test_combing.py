@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from groupgeo import cayley, combing, distortion
+from groupgeo import cayley, combing, distortion, experiments
 from groupgeo._kernel import _ops_py
 from groupgeo.errors import CapExceeded, MemoryCapExceeded, TooFewPoints
 from groupgeo.experiments import _CENTRALIZER_WORDS, AmbientAsSubgroup, get_group, zoo_names
@@ -475,13 +475,134 @@ class TestRowScan:
         rows_ball = cayley.ball(G, 2)
         assert rows_ball.packed_rows() is not None
         batch, rows = rows_ball.packed_rows()
-        assert batch.right_multiply(rows[5:], (0,)) is None
+        assert batch.multiply(rows[5:], batch.pack((0,))) is None
         a = model.generator(0)
         got = list(combing._conjugators_in_ball(G, rows_ball, a, a, 2))
         assert got == list(combing._conjugators_in_ball(G, _decoded_ball(G, 2), a, a, 2))
         assert [rows_ball.vertex_word(v).letters for v in got] == [
             (), ((0, 1),), ((0, -1),), ((0, 1), (0, 1)), ((0, -1), (0, -1)),
         ]
+
+
+def _reference_triples(idx, seed):
+    """The equivariance spot check's triples as the report drew them before
+    they were drawn as vertices: elements, x anchored at the identity
+    whenever x^-1 y has no key in the ball."""
+    model, elements = idx.group.model, idx.elements
+    rng = random.Random(seed)
+    triples = []
+    for _ in range(experiments._EQUIVARIANCE_TRIPLES):
+        g, x, y = rng.choice(elements), rng.choice(elements), rng.choice(elements)
+        if model.canonical_key(model.multiply(model.invert(x), y)) not in idx.index:
+            x = model.identity
+        triples.append((g, x, y))
+    return triples
+
+
+def _element_status(sigma, triple):
+    """The element loop's verdict on one triple: 1, 0, or -1 where it raises."""
+    try:
+        return int(combing.check_equivariance(sigma, [triple]))
+    except CapExceeded:
+        return -1
+
+
+def _raw_triples(idx, seed, count=300):
+    rng = random.Random(seed)
+    return np.array([[rng.randrange(len(idx)) for _ in range(3)] for _ in range(count)], dtype=np.intp)
+
+
+class TestEquivarianceOnRows:
+    """The equivariance check on packed rows decides every triple as the
+    element loop does, and the report's triples are the ones the element
+    loop drew."""
+
+    @pytest.mark.parametrize("name", sorted(CRITERION5_RADII))
+    def test_triples_match_the_element_draw(self, name):
+        G = get_group(name)
+        idx = cayley.ball(G, CRITERION5_RADII[name])
+        for seed in (0, 7):
+            triples = experiments._equivariance_triples(idx, seed)
+            elements = idx.elements
+            got = [tuple(elements[v] for v in t) for t in triples.tolist()]
+            assert got == _reference_triples(idx, seed)
+        raw = _raw_triples(idx, 3)
+        by_elements = experiments._quotients_in_ball(idx, raw[:, 1], raw[:, 2])
+        on_rows = experiments._quotients_in_ball_on_rows(idx, raw[:, 1], raw[:, 2])
+        if G.model.batch_action() is None:
+            assert on_rows is None
+        else:
+            np.testing.assert_array_equal(on_rows, by_elements)
+        # B(3) is the whole of kleinfour; elsewhere some quotients leave the ball
+        assert by_elements.all() == (name == "kleinfour")
+
+    @pytest.mark.parametrize("name", sorted(CRITERION5_RADII))
+    def test_rows_decide_each_triple_as_the_element_loop(self, name):
+        G = get_group(name)
+        sigma = combing.shortlex_bicombing(G, CRITERION5_RADII[name])
+        idx = sigma.index
+        report_triples, raw = experiments._equivariance_triples(idx, 0), _raw_triples(idx, 5)
+        elements = idx.elements
+        for triples in (report_triples, raw):
+            status = combing._equivariance_on_rows(sigma, triples)
+            want = [_element_status(sigma, tuple(elements[v] for v in t)) for t in triples.tolist()]
+            if G.model.batch_action() is None:
+                assert status is None
+            else:
+                assert status.tolist() == want
+        assert combing.check_equivariance(sigma, report_triples)
+        if name == "kleinfour":  # B(3) is the whole group
+            assert -1 not in want
+            return
+        # the raw triples hold lines that leave the ball, and the array
+        # raises at the first of them as the element loop does
+        assert -1 in want
+        with pytest.raises(CapExceeded, match=f"beyond the combing cap {sigma.cap}$"):
+            combing.check_equivariance(sigma, raw)
+
+    def test_a_differing_line_is_found_in_triple_order(self, monkeypatch):
+        G = get_group("heis3")
+        sigma = combing.shortlex_bicombing(G, 5)
+        idx = sigma.index
+        triples = experiments._equivariance_triples(idx, 0)
+        lookup = cayley.BallIndex.vertices_of
+
+        def shifted(self, rows):
+            # u' of triple 4 becomes another vertex: its lines end apart
+            u = lookup(self, rows)
+            u[len(u) // 2 + 4] = (u[len(u) // 2 + 4] + 1) % len(self)
+            return u
+
+        monkeypatch.setattr(cayley.BallIndex, "vertices_of", shifted)
+        status = combing._equivariance_on_rows(sigma, triples)
+        assert status.tolist() == [1] * 4 + [0] + [1] * (len(triples) - 5)
+        assert not combing.check_equivariance(sigma, triples)
+        # a triple whose line leaves the ball decides only when it comes
+        # before the one that differs
+        outside = _raw_triples(idx, 5)
+        statuses = combing._equivariance_on_rows(sigma, outside).tolist()
+        leaving = outside[statuses.index(-1):][:1]
+        assert not combing.check_equivariance(sigma, np.concatenate((triples, leaving)))
+        with pytest.raises(CapExceeded):
+            combing.check_equivariance(sigma, np.concatenate((leaving, triples)))
+
+    def test_products_without_a_proof_run_the_element_loop(self, monkeypatch):
+        G = get_group("sl2z")
+        sigma = combing.shortlex_bicombing(G, 5)
+        triples = experiments._equivariance_triples(sigma.index, 0)
+        monkeypatch.setattr(type(G.model.batch_action()), "invert", lambda self, A: None)
+        assert combing._equivariance_on_rows(sigma, triples) is None
+        assert experiments._quotients_in_ball_on_rows(sigma.index, triples[:, 1], triples[:, 2]) is None
+        assert combing.check_equivariance(sigma, triples)
+        np.testing.assert_array_equal(experiments._equivariance_triples(sigma.index, 0), triples)
+
+    def test_other_bicombings_are_not_read_as_rows(self):
+        G = get_group("sl2z")
+        inner = combing.shortlex_bicombing(G, 5)
+        other = combing.Bicombing(group=G, rule=inner.line, distance_fn=inner._distance)
+        other.index = inner.index
+        triples = experiments._equivariance_triples(inner.index, 0)
+        assert combing._equivariance_on_rows(other, triples) is None
 
 
 def _reference_multi_source_distances(indptr, nbrs, n, sources):

@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from groupgeo import cayley
+from groupgeo.experiments import get_group, group_from_config
 from groupgeo.garside import BraidGroup, _comp, _descents, _half_twist, _inv, _left_weighted
-from groupgeo.groups import MarkedGroup
-from groupgeo.words import Alphabet
+from groupgeo.groups import MarkedGroup, evaluate
+from groupgeo.words import Alphabet, Word
 
 B3 = BraidGroup(3)
 
@@ -198,3 +200,50 @@ class TestFourStrands:
         cayley.ball(B4_MARKED, 5)
         # every cached pair is a pair of permutations of range(4): 4!^2
         assert 0 < _left_weighted.cache_info().currsize <= 576
+
+
+ZOO_BRAID3 = get_group("braid3")
+HALF_TWIST = [(0, 1), (1, 1), (0, 1)]  # Delta = s1 s2 s1
+
+
+@st.composite
+def word_pairs(draw):
+    """Equal words by relation rewrites, independent words, and words that
+    differ by a power of Delta^2, the centre: rho(Delta^2) = -I and Delta^4
+    lies in ker rho, so only the exponent sum tells Delta^4 from 1."""
+    kind = draw(st.sampled_from(("rewrites", "independent", "central")))
+    if kind == "rewrites":
+        return draw(equal_word_pairs())
+    u = draw(artin_words)
+    if kind == "independent":
+        return u, draw(artin_words)
+    k = draw(st.integers(-3, 3))
+    cut = draw(st.integers(0, len(u)))
+    delta = HALF_TWIST if k >= 0 else [(i, -1) for i, _ in reversed(HALF_TWIST)]
+    return u, u[:cut] + delta * (2 * abs(k)) + u[cut:]
+
+
+class TestZooMarking:
+    """braid3 in the zoo is B_3 as 4 x 4 integer matrices; Garside normal
+    forms are the independent oracle."""
+
+    @given(word_pairs())
+    @settings(max_examples=150, deadline=None)
+    @example(([], HALF_TWIST * 4))  # Delta^4: in ker rho, exponent sum 12
+    @example(([], HALF_TWIST * 2))  # Delta^2 maps to diag(-I, [[1, 6], [0, 1]])
+    def test_equal_exactly_when_garside_equal(self, pair):
+        u, v = pair
+        model = ZOO_BRAID3.model
+        matrices = [evaluate(Word(tuple(w)), ZOO_BRAID3) for w in (u, v)]
+        same_matrix = model.canonical_key(matrices[0]) == model.canonical_key(matrices[1])
+        assert same_matrix == (B3.canonical_key(braid(u)) == B3.canonical_key(braid(v)))
+
+    def test_ball_equals_the_garside_ball(self):
+        zoo = cayley.ball(ZOO_BRAID3, 8)
+        garside = cayley.ball(group_from_config({"kind": "braid", "strands": 3}), 8)
+        assert isinstance(zoo._layers, cayley._PackedLayers)
+        assert isinstance(garside._layers, cayley._ElementLayers)
+        assert zoo.sphere_sizes == garside.sphere_sizes
+        np.testing.assert_array_equal(zoo.parent, garside.parent)
+        np.testing.assert_array_equal(zoo.letter, garside.letter)
+        np.testing.assert_array_equal(zoo._neighbour_table(), garside._neighbour_table())

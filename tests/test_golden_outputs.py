@@ -41,7 +41,7 @@ CENTRALIZER_ARGS = {
 }
 
 GOLDEN = {
-    "ball:braid3": "7d6b1ffd6936d94f32a860718d2ce2fc7ea9fcc828b4df3361ad6996bea45ed4",
+    "ball:braid3": "c6ebcff72d3e89159a717775bcb3c0e6085ec321013e6b451687232920e70e5a",
     "ball:bs12": "2702371d1a282f55fec132df8e23a3f9706c19efdc6a3e9c9dbf98cb30d6b7d7",
     "ball:free2": "57a7d7892a1db6c32cb85bcad09cb50443660f729af00a058d6f4d751447e38b",
     "ball:heis3": "b48bb1d09ca6e88af3e756c3a42da99fdac999e6f9ecc3ddb27b326293f44c76",

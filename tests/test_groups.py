@@ -314,7 +314,7 @@ class TestIndexTwoRetraction:
 class TestLetterActions:
     def test_sl2z_letters_are_not_elementary(self):
         G = get_group("sl2z")
-        assert all(_packed._elementary(a) is None for a in G.letter_images)
+        assert all(_packed._elementary(sum(a, ()), 2) is None for a in G.letter_images)
 
     def test_free_action_cancels_or_appends(self):
         G = get_group("free2")

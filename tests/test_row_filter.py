@@ -106,7 +106,8 @@ def _reject_all(rows):
 
 @pytest.mark.parametrize("group", ["z2", "braid3"])
 def test_unpacked_ball_ignores_filter(group):
-    G = get_group(group)
+    # braid3's zoo marking is packed; a braid config keeps Garside normal forms
+    G = get_group(group) if group == "z2" else group_from_config({"kind": "braid", "strands": 3})
     idx = cayley.ball(G, 3)
     assert G.model.batch_action() is None
     vertices, elements = idx.select(_reject_all)
