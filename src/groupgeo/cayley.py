@@ -27,26 +27,24 @@ Theory*, 2005, ch. 5).  The state behind a ball is one of two kinds:
   int64 array.  The frontier rows with an open slot for letter c are
   multiplied by c's image row through the batch's ``multiply``, the one
   row product that every scan and check uses too.  A layer's products are
-  deduplicated by one ``np.unique``
-  over int64 row keys of the frontier and the candidates, new vertices
-  kept in first-occurrence order.  This is frontier search (Korf, Zhang,
-  Thayer and Hohwald, J. ACM 52(5), 2005): the marking is symmetric, so
-  the open slots of layer r - 1 lead only into layers r - 1 and r, every
-  edge towards r - 2 having been filled from the other side.  An edge
-  between two frontier rows is open at both ends and computed from both;
-  an edge into layer r is computed once.  ``elements``, ``keys_shortlex``
-  and ``index`` are decoded from the rows on first use.
-  ``select(row_filter)`` decodes only the rows that a filter on the int64
-  rows passes, so a scan for a few subgroup members decodes those alone;
-  ``elements_at`` decodes only the vertices asked for, ``packed_rows``
-  hands a scan the rows themselves, and ``vertices_of`` looks a batch of
-  rows up, -1 outside the ball.
-  A stop-key search (``word_length_of``, ``geodesic_shortlex``) decodes and
-  keys each layer once, and keeps the vertex it finds.
+  deduplicated by one ``np.unique`` over int64 row keys of the frontier
+  and the candidates, new vertices kept in first-occurrence order.  This
+  is frontier search (Korf, Zhang, Thayer and Hohwald, J. ACM 52(5),
+  2005): the marking is symmetric, so the open slots of layer r - 1 lead
+  only into layers r - 1 and r, every edge towards r - 2 having been
+  filled from the other side.  An edge between two frontier rows is open
+  at both ends and computed from both; an edge into layer r is computed
+  once.  ``elements``, ``keys_shortlex``
+  and ``index`` are decoded from the rows on first use.  Every scan reads
+  ``rows``, decoded or not; ``vertices_of`` looks a batch of rows up, -1
+  outside the ball; ``select(row_filter)`` decodes only the rows that a
+  filter on the int64 rows passes, and ``elements_at`` only the vertices
+  asked for.  A stop search (``word_length_of``, ``geodesic_shortlex``)
+  compares its element's row with each layer's rows once, decoding nothing.
   Where a layer cannot prove that its products fit in int64, it and the
   rest of the enumeration run element by element on Python integers.
 * Element by element (``_ElementLayers``), the default batch action: a list
-  of elements, their canonical keys and a dict from key to vertex, each
+  of elements and a dict from canonical key to vertex in vertex order, each
   open slot v, c filled by the model's ``multiply(v, letter_images[c])``
   and its reverse slot filled at once, so that an edge found from one end
   is never multiplied from the other.
@@ -95,7 +93,7 @@ class BallIndex:
     ):
         self.group = group
         self.radius = radius
-        # the vertex of ``ball``'s _stop_key, None when it is not in the ball
+        # the vertex of ``ball``'s _stop, None when it is not in the ball
         self.stop_vertex = stop_vertex
         self.sphere_sizes = sphere_sizes
         self._layers = layers
@@ -126,12 +124,12 @@ class BallIndex:
         layout (see ``_packed``) to a boolean mask; only those rows are
         decoded.  Every vertex and ``elements`` when the filter is None or
         the ball is not packed."""
-        layers = self._layers
-        if row_filter is None or not isinstance(layers, _PackedLayers):
+        packed = self.rows()
+        if row_filter is None or packed is None:
             return range(len(self)), self.elements
-        rows = layers.seal().rows[0]
+        batch, rows = packed
         vs = np.flatnonzero(row_filter(rows))
-        return vs.tolist(), layers.batch.unpack(rows[vs])
+        return vs.tolist(), batch.unpack(rows[vs])
 
     def rows(self) -> Optional[tuple]:
         """(batch action, int64 rows in vertex order) of a packed ball,
@@ -140,15 +138,7 @@ class BallIndex:
         layers = self._layers
         if not isinstance(layers, _PackedLayers):
             return None
-        return layers.batch, layers.seal().rows[0]
-
-    def packed_rows(self) -> Optional[tuple]:
-        """``rows()`` of a packed ball whose elements are not decoded yet,
-        else None: a scan then reads ``elements``, which cost nothing
-        more."""
-        if isinstance(self._layers, _PackedLayers) and self._layers._elements is None:
-            return self.rows()
-        return None
+        return layers.batch, layers.rows
 
     def vertices_of(self, rows: np.ndarray) -> np.ndarray:
         """The vertex of each of these packed rows, -1 outside the ball, for
@@ -167,12 +157,11 @@ class BallIndex:
     def elements_at(self, vertices) -> list:
         """The elements of these vertices; a packed ball whose elements are
         not decoded yet decodes only their rows."""
-        packed = self.packed_rows()
-        if packed is None:
-            elements = self.elements
-            return [elements[v] for v in vertices]
-        batch, rows = packed
-        return batch.unpack(rows[np.asarray(vertices, dtype=np.intp)])
+        layers = self._layers
+        if isinstance(layers, _PackedLayers) and layers._elements is None:
+            return layers.batch.unpack(layers.rows[np.asarray(vertices, dtype=np.intp)])
+        elements = self.elements
+        return [elements[v] for v in vertices]
 
     @property
     def entries(self) -> "_EntryView":
@@ -263,13 +252,13 @@ class _EntryView(Mapping):
 
 
 class _ElementLayers:
-    """The default batch action: elements, their canonical keys and a dict
-    from key to vertex, expanded one element and one letter at a time.
+    """The default batch action: elements and a dict from canonical key to
+    vertex, in vertex order, expanded one element and one letter at a time.
     ``lo`` is the first row that may still hold open slots."""
 
-    def __init__(self, G, elements, keys, index, parent, letter, nbr, lo):
+    def __init__(self, G, elements, index, parent, letter, nbr, lo):
         self.G = G
-        self._elements, self._keys, self._index = elements, keys, index
+        self._elements, self._index = elements, index
         self.parent, self.letter, self.nbr = parent, letter, nbr
         self.lo = lo
 
@@ -279,33 +268,31 @@ class _ElementLayers:
         key = G.model.canonical_key(ident)
         m = len(G.letter_images)
         return cls(
-            G, [ident], [key], {key: 0}, array("i", [-1]), array("b", [-1]),
+            G, [ident], {key: 0}, array("i", [-1]), array("b", [-1]),
             array("i", [_UNKNOWN]) * m, 0,
         )
 
     @classmethod
     def from_packed(cls, packed: "_PackedLayers") -> "_ElementLayers":
-        """The same ball, re-held on Python integers."""
-        packed.seal()
-        keys = packed.keys()
+        """The same ball, re-held on Python integers; ``packed`` is sealed."""
         return cls(
-            packed.G, packed.elements(), keys, packed.index(),
-            array("i", packed.parents[0].tobytes()), array("b", packed.letters[0].tobytes()),
-            array("i", packed.tables[0].tobytes()), packed.lo,
+            packed.G, packed.elements(), packed.index(),
+            array("i", packed.parents.tobytes()), array("b", packed.letters.tobytes()),
+            array("i", packed.tables.tobytes()), packed.lo,
         )
 
     def elements(self) -> list:
         return self._elements
 
     def keys(self) -> list[bytes]:
-        return self._keys
+        return list(self._index)
 
     def index(self) -> dict[bytes, int]:
         return self._index
 
-    def find(self, key: bytes) -> Optional[int]:
-        """The vertex with this key, or None."""
-        return self._index.get(key)
+    def find(self, g: Element) -> Optional[int]:
+        """The vertex of element g, or None."""
+        return self._index.get(self.G.model.canonical_key(g))
 
     def expand(self, r: int, max_elements: int) -> int:
         """Append layer r; the number of new vertices."""
@@ -319,8 +306,8 @@ class _ElementLayers:
     def _expand(self, grow: bool, r: int = 0, max_elements: int = 0) -> int:
         model, images = self.G.model, self.G.letter_images
         multiply, canonical_key = model.multiply, model.canonical_key
-        elements, keys, index, parent, letter, nbr = (
-            self._elements, self._keys, self._index, self.parent, self.letter, self.nbr
+        elements, index, parent, letter, nbr = (
+            self._elements, self._index, self.parent, self.letter, self.nbr
         )
         get = index.get
         m = len(images)
@@ -344,7 +331,6 @@ class _ElementLayers:
                     j = size
                     size += 1
                     index[hk] = j
-                    keys.append(hk)
                     elements.append(h)
                     parent.append(v)
                     letter.append(code)
@@ -368,8 +354,9 @@ class _ElementLayers:
 
 class _PackedLayers:
     """Packed state: per-layer blocks of int64 element rows, neighbour-table
-    rows, parents and letters, joined into one array each by ``seal``.
-    ``lo`` is the first row that may still hold open slots."""
+    rows, parents and letters, joined into one array each by ``seal`` when
+    ``ball`` stops or falls back to ``_ElementLayers``.  ``lo`` is the
+    first row that may still hold open slots."""
 
     def __init__(self, G: MarkedGroup, batch):
         self.G = G
@@ -391,7 +378,7 @@ class _PackedLayers:
 
     def elements(self) -> list:
         if self._elements is None:
-            self._elements = self.batch.unpack(self.seal().rows[0])
+            self._elements = self.batch.unpack(self.rows)
         return self._elements
 
     def keys(self) -> list[bytes]:
@@ -404,14 +391,15 @@ class _PackedLayers:
             self._index = dict(zip(self.keys(), range(self.size)))
         return self._index
 
-    def find(self, key: bytes) -> Optional[int]:
-        """The vertex in the last layer with this key, or None; the layers
-        before it were searched on earlier calls."""
-        canonical_key = self.G.model.canonical_key
-        for v, g in enumerate(self.batch.unpack(self.rows[-1]), self.lo):
-            if canonical_key(g) == key:
-                return v
-        return None
+    def find(self, g: Element) -> Optional[int]:
+        """The vertex of g in the last layer, whose rows equal g's row there
+        (packings are canonical), or None; the layers before it were
+        searched on earlier calls, and a g with no row is in none."""
+        row = self.batch.pack(g)
+        if row is None:
+            return None
+        hits = np.flatnonzero((self.rows[-1] == row).all(axis=1))
+        return int(hits[0]) + self.lo if len(hits) else None
 
     def _link(self, rows_f: np.ndarray, table_f: np.ndarray):
         """The products on the open slots of frontier rows ``rows_f`` (whose
@@ -474,8 +462,7 @@ class _PackedLayers:
 
     def close(self):
         """Fill the last layer's open slots, -1 outside the ball."""
-        self.seal()
-        rows_f, table_f = self.rows[0][self.lo:], self.tables[0][self.lo:]
+        rows_f, table_f = self.rows[self.lo:], self.tables[self.lo:]
         linked = self._link(rows_f, table_f)
         if linked is None:
             return _ElementLayers.from_packed(self).close()
@@ -488,34 +475,36 @@ class _PackedLayers:
         return self
 
     def seal(self) -> "_PackedLayers":
-        """Join the per-layer blocks; enumeration appends no more layers."""
-        for blocks in (self.rows, self.tables, self.parents, self.letters):
-            if len(blocks) > 1:
-                blocks[:] = [np.concatenate(blocks)]
+        """Join the per-layer blocks into one array each, one field at a
+        time so that only one field is held twice; enumeration appends no
+        more layers."""
+        self.rows = np.concatenate(self.rows)
+        self.tables = np.concatenate(self.tables)
+        self.parents = np.concatenate(self.parents)
+        self.letters = np.concatenate(self.letters)
         return self
 
     def tree(self) -> tuple[np.ndarray, np.ndarray]:
-        self.seal()
-        return self.parents[0], self.letters[0]
+        return self.parents, self.letters
 
     def table(self) -> np.ndarray:
-        return self.seal().tables[0]
+        return self.tables
 
 
 def ball(
     G: MarkedGroup,
     n: int,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
-    _stop_key: Optional[bytes] = None,
+    _stop: Optional[Element] = None,
 ) -> BallIndex:
     """Enumerate the complete radius-n ball of (G, X).
 
     Raises MemoryCapExceeded, naming the radius being enumerated, as soon
     as a layer would make more than ``max_elements``: a packed layer before
     it is stored, an element-by-element one at its first element past the
-    cap.  Enumeration failure is never a silent truncation.  With ``_stop_key``, enumeration
-    stops after the layer that holds that key, each layer searched once, and
-    the index's ``stop_vertex`` is its vertex.
+    cap.  Enumeration failure is never a silent truncation.  With the element
+    ``_stop``, enumeration stops after the layer that holds it, each layer
+    searched once, and the index's ``stop_vertex`` is its vertex.
     """
     if n < 0:
         raise ValueError("radius must be >= 0")
@@ -523,22 +512,24 @@ def ball(
     sphere_sizes = [1]
     found = None
     for r in range(1, n + 1):
-        if _stop_key is not None:
-            found = layers.find(_stop_key)
+        if _stop is not None:
+            found = layers.find(_stop)
             if found is not None:
                 break
         count = layers.expand(r, max_elements)
         if count is None:
             # no int64 proof for this layer: it and the rest run on Python ints
-            layers = _ElementLayers.from_packed(layers)
+            layers = _ElementLayers.from_packed(layers.seal())
             count = layers.expand(r, max_elements)
         sphere_sizes.append(count)
         if not count:
             # group exhausted; remaining spheres are empty
             sphere_sizes.extend([0] * (n - r))
             break
-    if _stop_key is not None and found is None:
-        found = layers.find(_stop_key)
+    if _stop is not None and found is None:
+        found = layers.find(_stop)
+    if isinstance(layers, _PackedLayers):
+        layers.seal()
     return BallIndex(G, len(sphere_sizes) - 1, sphere_sizes, layers, found)
 
 
@@ -548,7 +539,7 @@ def word_length_of(g: Element, G: MarkedGroup, cap: int) -> Optional[int]:
     if G.norm_oracle is not None:
         norm = G.norm_oracle(g)
         return norm if norm <= cap else None
-    idx = ball(G, cap, _stop_key=G.model.canonical_key(g))
+    idx = ball(G, cap, _stop=g)
     v = idx.stop_vertex
     return None if v is None else int(idx.depth[v])
 
@@ -561,7 +552,7 @@ def distance(g: Element, h: Element, G: MarkedGroup, cap: int) -> Optional[int]:
 
 def geodesic_shortlex(g: Element, G: MarkedGroup, cap: int) -> Word:
     """The shortlex-least geodesic word evaluating to g."""
-    idx = ball(G, cap, _stop_key=G.model.canonical_key(g))
+    idx = ball(G, cap, _stop=g)
     if idx.stop_vertex is None:
         raise CapExceeded(f"element not found within radius {cap}")
     return idx.vertex_word(idx.stop_vertex)

@@ -438,14 +438,15 @@ def _conjugators_in_ball(
 ) -> Iterator[int]:
     """Vertices psi of ball(n) with psi gamma psi^-1 = a, in shortlex order.
 
-    The test is psi gamma = a psi, the same identity with no inverse: two
-    products and two keys per vertex.  On a packed ball whose elements are
-    not decoded (``BallIndex.packed_rows``), every layer after the identity
-    is tested at once on its rows: the packings are canonical, so the
-    conjugators are the rows whose two products are equal, and none is
+    The test is psi gamma = a psi, the same identity with no inverse.  On a
+    packed ball (``BallIndex.rows``), decoded or not, every layer after the
+    identity is tested at once on its rows: the packings are canonical, so
+    the conjugators are the rows whose two products are equal, and none is
     decoded.  Only a layer whose products have no int64 proof is decoded
-    and tested vertex by vertex.  A search that stops at the identity, as
-    every search for a central a does, runs no array operation."""
+    and tested vertex by vertex, two products and two keys per vertex, as
+    is every vertex of a ball held element by element.  A search that stops
+    at the identity, as every search for a central a does, runs no array
+    operation."""
     multiply, canonical_key = G.model.multiply, G.model.canonical_key
 
     def by_element(vertices, elements):
@@ -453,7 +454,7 @@ def _conjugators_in_ball(
             if canonical_key(multiply(psi, gamma)) == canonical_key(multiply(a, psi)):
                 yield v
 
-    packed = idx.packed_rows()
+    packed = idx.rows()
     if packed is None:
         yield from by_element(range(sum(idx.sphere_sizes[: n + 1])), idx.elements)
         return

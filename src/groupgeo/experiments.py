@@ -173,6 +173,16 @@ def _required(config: dict, key: str):
     return config[key]
 
 
+def _integers(value) -> bool:
+    """Whether value is a list of integers or decimal integer strings."""
+    return isinstance(value, list) and all(type(v) in (int, str) for v in value)
+
+
+# (test, description) of one marking image of a matrix or dyadic config
+_ROWS = (lambda m: isinstance(m, list) and all(map(_integers, m)), "a list of integer rows")
+_TRIPLE = (lambda m: _integers(m) and len(m) == 3, "an integer triple [k, numerator, exponent]")
+
+
 def group_from_config(config: dict) -> MarkedGroup:
     """Build a MarkedGroup from a JSON config.
 
@@ -186,19 +196,26 @@ def group_from_config(config: dict) -> MarkedGroup:
     implicit).  Free groups take the standard generators and no
     ``marking``; braids may omit it.  A missing field, a generator with no
     marking, or a ``marking`` on a free or product config raises KeyError
-    naming it.
+    naming it; a field of the wrong shape raises ValueError naming it.
     """
     kind = _required(config, "kind")
     if kind in ("free", "product") and "marking" in config:
         raise KeyError(f"unexpected field 'marking' for kind {kind!r}")
     name = config.get("name")
-    names = tuple(config.get("alphabet", ()))
+    names = config.get("alphabet", [])
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ValueError(f"alphabet must be a list of generator names, got {names!r}")
+    names = tuple(names)
     marking_data: dict = config.get("marking", {})
+    if not isinstance(marking_data, dict):
+        raise ValueError(f"marking must be an object, got {marking_data!r}")
 
-    def marked(fn):
+    def marked(fn, shape=None):
         for n in names:
             if n not in marking_data:
                 raise KeyError(f"generator {n!r} has no marking")
+            if shape and not shape[0](marking_data[n]):
+                raise ValueError(f"marking of {n!r} must be {shape[1]}, got {marking_data[n]!r}")
         return tuple(fn(marking_data[n]) for n in names)
 
     if kind == "table":
@@ -208,10 +225,10 @@ def group_from_config(config: dict) -> MarkedGroup:
         marking = marked(model.index_of)
     elif kind == "matrix":
         model = IntegerMatrixGroup(_required(config, "dim"))
-        marking = marked(lambda rows: model.element([[int(v) for v in r] for r in rows]))
+        marking = marked(lambda rows: model.element([[int(v) for v in r] for r in rows]), _ROWS)
     elif kind == "dyadic_affine":
         model = DyadicAffineGroup()
-        marking = marked(lambda triple: model.element(*(int(v) for v in triple)))
+        marking = marked(lambda triple: model.element(*(int(v) for v in triple)), _TRIPLE)
     elif kind == "free":
         model = FreeGroupModel(len(names))
         marking = tuple(model.generator(i) for i in range(len(names)))

@@ -84,8 +84,8 @@ class BraidGroup(GroupModel):
     """The braid group on ``n`` strands (Artin generators s1 .. s_{n-1})."""
 
     def __init__(self, n: int):
-        if n < 2:
-            raise ValueError("need at least 2 strands")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+            raise ValueError(f"strands must be an integer >= 2, got {n!r}")
         self.n = n
         self._id_perm = tuple(range(n))
         self._delta = _half_twist(n)
@@ -120,8 +120,8 @@ class BraidGroup(GroupModel):
 
     def generator(self, i: int):
         """The Artin generator crossing strands i and i+1 (0-based)."""
-        if not 0 <= i < self.n - 1:
-            raise ValueError(f"generator index {i} out of range")
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < self.n - 1:
+            raise ValueError(f"generator index {i!r} out of range")
         return (0, (_transposition(self.n, i),))
 
     def generator_inverse_factor(self, i: int) -> Perm:

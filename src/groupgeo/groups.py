@@ -124,6 +124,12 @@ class TableGroup(GroupModel):
         self._identity = identity_index
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise ValueError("table must be square over the element list")
+        # type(x) is int: a bool, float or string is no element index
+        if type(identity_index) is not int or not 0 <= identity_index < n:
+            raise ValueError(f"identity {identity_index!r} is not an element index in range({n})")
+        bad = [x for row in self.table for x in row if type(x) is not int or not 0 <= x < n]
+        if bad:
+            raise ValueError(f"table entry {bad[0]!r} is not an element index in range({n})")
         for i in range(n):
             if self.table[identity_index][i] != i or self.table[i][identity_index] != i:
                 raise ValueError("identity row/column malformed")
@@ -148,7 +154,10 @@ class TableGroup(GroupModel):
         return b"t%d" % x
 
     def index_of(self, name: str) -> int:
-        return self.names.index(name)
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise ValueError(f"unknown element {name!r}") from None
 
     def describe(self, x: int) -> str:
         return self.names[x]

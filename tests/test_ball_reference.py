@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from groupgeo import cayley
 from groupgeo._packed import INT64_MAX, DyadicBatch, FreeBatch, MatrixBatch
-from groupgeo.errors import MemoryCapExceeded
+from groupgeo.errors import CapExceeded, MemoryCapExceeded
 from groupgeo.experiments import get_group, group_from_config
 from groupgeo.groups import DyadicAffineGroup, FreeGroupModel, IntegerMatrixGroup, MarkedGroup, evaluate
 from groupgeo.words import Alphabet
@@ -97,9 +97,10 @@ def _reference_ball(G, n, max_elements=cayley.DEFAULT_MAX_ELEMENTS, stop_key=Non
     }
 
 
-def _assert_same_ball(G, radius, stop_key=None):
+def _assert_same_ball(G, radius, stop=None):
+    stop_key = None if stop is None else G.model.canonical_key(stop)
     ref = _reference_ball(G, radius, stop_key=stop_key)
-    idx = cayley.ball(G, radius, _stop_key=stop_key)
+    idx = cayley.ball(G, radius, _stop=stop)
     assert idx.radius == ref["radius"]
     assert idx.sphere_sizes == ref["sphere_sizes"]
     assert idx.parent.tolist() == ref["parent"]
@@ -202,8 +203,7 @@ class TestAgainstReference:
     ])
     def test_stop_key(self, group, word):
         G = get_group(group)
-        key = G.model.canonical_key(evaluate(G.alphabet.parse_word(word), G))
-        idx, ref = _assert_same_ball(G, 8, stop_key=key)
+        idx, ref = _assert_same_ball(G, 8, stop=evaluate(G.alphabet.parse_word(word), G))
         assert idx.radius < 8
 
 
@@ -385,30 +385,59 @@ class TestCaps:
 
     @pytest.mark.parametrize("group", PACKED)
     def test_stop_key_search_keys_each_element_once(self, group, monkeypatch):
-        # the query's own key, then at most one per element of the ball
-        # enumerated up to the element's layer, which is searched once
+        # a packed search compares its element's row with each layer's rows:
+        # it keys and decodes nothing, the search past the cap included
         G = get_group(group)
         ref = _reference_ball(G, 5)
-        calls = [0]
-        key = G.model.canonical_key
+        calls = []
 
-        def counted(x):
-            calls[0] += 1
-            return key(x)
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(G.model, "canonical_key", counted)
+        monkeypatch.setattr(G.model, "canonical_key", counted(G.model.canonical_key))
+        batch_cls = type(G.model.batch_action())
+        monkeypatch.setattr(batch_cls, "unpack", counted(batch_cls.unpack))
         n = len(ref["elements"])
         for v in (0, 1, n // 7, n // 2, n - 1):
             g = ref["elements"][v]
-            size = sum(ref["sphere_sizes"][: ref["depth"][v] + 1])
-            for search in (cayley.word_length_of, cayley.geodesic_shortlex):
-                calls[0] = 0
-                search(g, G, 5)
-                assert calls[0] <= 1 + size
+            assert cayley.ball(G, 5, _stop=g).stop_vertex == v
+            assert cayley.word_length_of(g, G, 5) == ref["depth"][v]
+            assert list(cayley.geodesic_shortlex(g, G, 5).letters) == _reference_word(ref, v)
         # an element beyond the cap: every layer of the radius-2 ball, once
-        calls[0] = 0
         assert cayley.word_length_of(ref["elements"][n - 1], G, 2) is None
-        assert calls[0] == 1 + sum(ref["sphere_sizes"][:3])
+        assert calls == []
+
+    @pytest.mark.parametrize("group, element", [
+        ("bs12", (0, 2 ** 64 + 1, 0)),
+        ("heis3", ((1, 2 ** 64, 0), (0, 1, 0), (0, 0, 1))),
+        ("sl2z", ((1, 2 ** 64), (0, 1))),
+    ])
+    def test_stop_element_past_int64_is_not_in_a_packed_ball(self, group, element):
+        G = get_group(group)
+        assert G.model.batch_action().pack(element) is None
+        idx = cayley.ball(G, 3, _stop=element)
+        assert isinstance(idx._layers, cayley._PackedLayers)
+        assert (idx.radius, idx.stop_vertex) == (3, None)
+        assert cayley.word_length_of(element, G, 3) is None
+        with pytest.raises(CapExceeded):
+            cayley.geodesic_shortlex(element, G, 3)
+
+    @pytest.mark.parametrize("case", ["matrix_past_int64", "free_x10_y10"])
+    def test_stop_search_on_the_fallen_back_ball(self, case):
+        # matrix_past_int64 runs element by element from layer 1,
+        # free_x10_y10 from layer 4: every element is found where it lies
+        make, radius = CONFIGS[case]
+        G = make()
+        ref = _reference_ball(G, radius)
+        for v, g in enumerate(ref["elements"]):
+            idx = cayley.ball(G, radius, _stop=g)
+            assert idx.stop_vertex == v
+            assert idx.radius == ref["depth"][v]
+            assert cayley.word_length_of(g, G, radius) == ref["depth"][v]
+        assert isinstance(cayley.ball(G, radius, _stop=g)._layers, cayley._ElementLayers)
 
     def test_stop_key_heis3_length_six(self, monkeypatch):
         G = get_group("heis3")
@@ -422,8 +451,8 @@ class TestCaps:
 
         monkeypatch.setattr(G.model, "canonical_key", counted)
         assert cayley.word_length_of(g, G, 8) == 6
-        size = len(cayley.ball(G, 6))
-        assert calls[0] <= size
+        # the search compares rows and keys no element
+        assert calls[0] == 0
 
 
 def _unimodular(dim, ops):

@@ -216,16 +216,14 @@ ZOO = ("braid3", "bs12", "free2", "heis3", "kleinfour", "sl2z", "z2")
 # (group, radius, word whose key stops enumeration early): every zoo group at
 # two radii -- kleinfour is exhausted at radius 5, so its last layer is empty
 # and each image equals its inverse; sl2z has edges inside the last
-# layer -- plus a ball cut short by _stop_key
+# layer -- plus a ball cut short by _stop
 GRAPH_CASES = [(g, r, None) for g in ZOO for r in (2, 5)] + [("sl2z", 6, "a b a")]
 
 
 def _graph_case(group, radius, stop_word):
     G = get_group(group)
-    stop_key = None
-    if stop_word is not None:
-        stop_key = G.model.canonical_key(evaluate(G.alphabet.parse_word(stop_word), G))
-    return cayley.ball(G, radius, _stop_key=stop_key)
+    stop = None if stop_word is None else evaluate(G.alphabet.parse_word(stop_word), G)
+    return cayley.ball(G, radius, _stop=stop)
 
 
 def _reference_csr(idx):

@@ -409,41 +409,50 @@ CRITERION5_RADII = {
 }
 
 
-def _decoded_ball(G, n):
-    """A ball whose elements are decoded, so its scans test tuples."""
-    idx = cayley.ball(G, n)
-    idx.index
-    assert idx.packed_rows() is None
-    return idx
+def _brute_conjugators(idx, a, gamma, n):
+    """The vertices psi of ball(n) with psi gamma = a psi, tested element by
+    element on idx's decoded elements with ``multiply`` and
+    ``canonical_key``."""
+    model = idx.group.model
+    multiply, key = model.multiply, model.canonical_key
+    elements = idx.elements
+    return [
+        v for v in range(sum(idx.sphere_sizes[: n + 1]))
+        if key(multiply(elements[v], gamma)) == key(multiply(a, elements[v]))
+    ]
 
 
 class TestRowScan:
-    """The conjugator scan on packed rows, a layer at a time, finds what the
-    scan of decoded elements finds, vertex for vertex."""
+    """The conjugator scan on packed rows, a layer at a time, finds what a
+    brute-force scan of the decoded elements finds, vertex for vertex."""
 
     @pytest.mark.parametrize("name", sorted(CRITERION5_RADII))
     def test_report_matches_tuple_scan(self, name):
         G = get_group(name)
         r = CRITERION5_RADII[name]
+        model = G.model
+        fmt = G.alphabet.format_word
         a = _elt(G, _CENTRALIZER_WORDS[name])
-        rows_ball = cayley.ball(G, r)
+        rows_ball, ref = cayley.ball(G, r), cayley.ball(G, r)
         got = combing.centralizer_quasiconvexity_report(
             G, a, combing.shortlex_bicombing(G, r, index=rows_ball), r)
-        sigma = combing.shortlex_bicombing(G, r, index=_decoded_ball(G, r))
-        want = combing.centralizer_quasiconvexity_report(G, a, sigma, r)
-        assert got.member_vertices == want.member_vertices
-        assert got.to_json_dict() == want.to_json_dict()
-        assert got.witnesses == want.witnesses
-        # the witnesses' vertices are those that sigma.line walks
-        model = G.model
-        gammas = [
-            model.describe(model.multiply(model.multiply(model.invert(v), a), v))
-            for h in want.member_vertices
-            for v in sigma.line(model.identity, sigma.index.elements[h]).vertices
-        ]
-        assert [row["gamma"] for row in got.witnesses["conjugators"]] == gammas
+        members = _brute_conjugators(ref, a, a, r)
+        assert got.member_vertices == members
+        # the witnesses' vertices are those that sigma.line walks, and each
+        # psi is the first brute-force conjugator within |member|
+        sigma = combing.shortlex_bicombing(G, r, index=ref)
+        want = []
+        for h in members:
+            d = int(ref.depth[h])
+            for v in sigma.line(model.identity, ref.elements[h]).vertices:
+                gamma = model.multiply(model.multiply(model.invert(v), a), v)
+                psi = _brute_conjugators(ref, a, gamma, d)[0]
+                want.append((model.describe(gamma), fmt(ref.vertex_word(psi))))
+        assert [(row["gamma"], row["psi"]) for row in got.witnesses["conjugators"]] == want
         # the report decodes only the rows of its members' lines
-        assert (rows_ball.packed_rows() is None) == (G.model.batch_action() is None)
+        layers = rows_ball._layers
+        if G.model.batch_action() is not None:
+            assert layers._elements is None
 
     @pytest.mark.parametrize("name", sorted(CRITERION5_RADII))
     def test_scans_match_on_conjugates(self, name):
@@ -451,18 +460,33 @@ class TestRowScan:
         r = CRITERION5_RADII[name]
         model = G.model
         a = _elt(G, _CENTRALIZER_WORDS[name])
-        rows_ball, tuple_ball = cayley.ball(G, r), _decoded_ball(G, r)
-        elements = tuple_ball.elements
+        rows_ball, ref = cayley.ball(G, r), cayley.ball(G, r)
+        elements = ref.elements
         gammas = [a, model.multiply(a, a), G.letter_images[0]]
         gammas += [
             model.multiply(model.multiply(model.invert(v), a), v)
             for v in elements[1::max(1, len(elements) // 7)]
         ]
         for gamma in gammas:
-            got = list(combing._conjugators_in_ball(G, rows_ball, a, gamma, r))
-            assert got == list(combing._conjugators_in_ball(G, tuple_ball, a, gamma, r))
-            assert combing.conjugator_search(G, a, gamma, r, index=rows_ball) == (
-                combing.conjugator_search(G, a, gamma, r, index=tuple_ball))
+            want = _brute_conjugators(ref, a, gamma, r)
+            # the rows are scanned whether or not the elements are decoded
+            assert list(combing._conjugators_in_ball(G, rows_ball, a, gamma, r)) == want
+            assert list(combing._conjugators_in_ball(G, ref, a, gamma, r)) == want
+            psi = combing.conjugator_search(G, a, gamma, r, index=rows_ball)
+            assert psi == (ref.vertex_word(want[0]) if want else None)
+
+    def test_decoded_ball_is_scanned_on_rows(self, monkeypatch):
+        G = get_group("free2")
+        r = CRITERION5_RADII["free2"]
+        a = _elt(G, _CENTRALIZER_WORDS["free2"])
+        idx = cayley.ball(G, r)
+        want = _brute_conjugators(idx, a, a, r)
+        keyed = []
+        key = G.model.canonical_key
+        monkeypatch.setattr(G.model, "canonical_key", lambda x: keyed.append(x) or key(x))
+        assert list(combing._conjugators_in_ball(G, idx, a, a, r)) == want
+        # only the identity is tested element by element
+        assert len(keyed) == 2
 
     def test_layer_without_a_proof_is_tested_by_tuples(self):
         # rank 2^30 takes 31 bits per code: layer 2's rows have 63 bits, so
@@ -473,12 +497,11 @@ class TestRowScan:
             marking=(model.generator(0), model.generator(2 ** 30 - 1)),
         )
         rows_ball = cayley.ball(G, 2)
-        assert rows_ball.packed_rows() is not None
-        batch, rows = rows_ball.packed_rows()
+        batch, rows = rows_ball.rows()
         assert batch.multiply(rows[5:], batch.pack((0,))) is None
         a = model.generator(0)
         got = list(combing._conjugators_in_ball(G, rows_ball, a, a, 2))
-        assert got == list(combing._conjugators_in_ball(G, _decoded_ball(G, 2), a, a, 2))
+        assert got == _brute_conjugators(cayley.ball(G, 2), a, a, 2)
         assert [rows_ball.vertex_word(v).letters for v in got] == [
             (), ((0, 1),), ((0, -1),), ((0, 1), (0, 1)), ((0, -1), (0, -1)),
         ]

@@ -201,6 +201,20 @@ class TestExperiments:
         json.dumps(d)  # serializable as-is
 
 
+_TRIPLE = "an integer triple [k, numerator, exponent]"
+
+
+def _z3_table(**fields):
+    """A table config of Z/3 marked by x, with these fields replaced."""
+    config = {
+        "kind": "table", "names": ["1", "x", "y"],
+        "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+        "alphabet": ["x"], "marking": {"x": "x"},
+    }
+    config.update(fields)
+    return config
+
+
 class TestCli:
     def test_ball_csv(self, capsys):
         assert cli.main(["ball", "--group", "free2", "--radius", "2"]) == 0
@@ -413,8 +427,33 @@ class TestCli:
         ({"kind": "matrix", "dim": 2, "alphabet": ["a"], "marking": {"a": [[2, 0], [0, 1]]}},
          "matrix is not invertible over the integers"),
         ('{"kind": ', "Expecting value: line 1 column 10 (char 9)"),
+        (_z3_table(table=[[0, 1, 2], [1, 2, 0], [2, 0, -1]]),
+         "table entry -1 is not an element index in range(3)"),
+        (_z3_table(table=[[0, 1, 2], [1, 2, 0], [2, 0, 7]]),
+         "table entry 7 is not an element index in range(3)"),
+        (_z3_table(identity="0"), "identity '0' is not an element index in range(3)"),
+        (_z3_table(marking={"x": "q"}), "unknown element 'q'"),
+        ({"kind": "dyadic_affine", "alphabet": ["a"], "marking": {"a": [0, 1, 0, 5]}},
+         f"marking of 'a' must be {_TRIPLE}, got [0, 1, 0, 5]"),
+        ({"kind": "dyadic_affine", "alphabet": ["a"], "marking": {"a": [0, 1]}},
+         f"marking of 'a' must be {_TRIPLE}, got [0, 1]"),
+        ({"kind": "dyadic_affine", "alphabet": ["a"], "marking": {"a": 5}},
+         f"marking of 'a' must be {_TRIPLE}, got 5"),
+        ({"kind": "matrix", "dim": 2, "alphabet": ["a"], "marking": {"a": 5}},
+         "marking of 'a' must be a list of integer rows, got 5"),
+        ({"kind": "braid", "strands": "3"}, "strands must be an integer >= 2, got '3'"),
+        ({"kind": "braid", "strands": 3, "alphabet": ["a"], "marking": {"a": "1"}},
+         "generator index '1' out of range"),
+        ({"kind": "free", "alphabet": "xy"},
+         "alphabet must be a list of generator names, got 'xy'"),
+        ({"kind": "matrix", "dim": 2, "alphabet": ["a"], "marking": ["a"]},
+         "marking must be an object, got ['a']"),
     ], ids=["kind", "factor-kind", "names", "marking", "free-marking", "product-marking",
-            "factor-free-marking", "unknown-kind", "determinant-2", "truncated-json"])
+            "factor-free-marking", "unknown-kind", "determinant-2", "truncated-json",
+            "table-entry-negative", "table-entry-past-n", "table-identity-string",
+            "table-marking-unknown", "dyadic-four-entries", "dyadic-two-entries",
+            "dyadic-scalar", "matrix-scalar", "braid-strands-string", "braid-index-string",
+            "alphabet-string", "marking-list"])
     def test_config_error_names_file_and_field(self, config, message, tmp_path, monkeypatch, capsys):
         # a config given as a string is written as it is, malformed or not
         monkeypatch.chdir(tmp_path)
