@@ -3,15 +3,16 @@ actions*).
 
 A packed model stores a set of elements as the rows of one C-contiguous
 int64 array: ``IntegerMatrixGroup`` as the d*d entries of a matrix in
-row-major order, ``DyadicAffineGroup`` as the columns (k, num, exp), and
+row-major order, ``DyadicAffineGroup`` as the columns (k, num, exp),
 ``FreeGroupModel`` as one column holding a leading 1 bit followed by one
-code per letter.  Every packing is canonical: equal rows are equal
-elements.  A batch is built from the model alone (the dimension or the
-rank) and has one product and one inverse: ``multiply(A, B)`` multiplies
-row arrays A and B of one length row by row, or broadcasts either one when
-it is a single row, so a product by a letter image and the pairwise
-products of the combing checks are the same call; ``invert(A)`` inverts
-every row.  ``pack`` turns one element into a single row, or None when an
+code per letter, ``TableGroup`` as one column holding the element index,
+and a ``DirectProduct`` of such models as its factors' rows side by side.
+Every packing is canonical: equal rows are equal elements.  A batch is
+built from the model alone and has one product and one inverse:
+``multiply(A, B)`` multiplies row arrays A and B of one length row by row,
+or broadcasts either one when it is a single row, so a product by a letter
+image and the pairwise products of the combing checks are the same call;
+``invert(A)`` inverts every row.  ``pack`` turns one element into a single row, or None when an
 entry does not fit int64.  Before it computes anything each product and
 inverse proves, from the largest |entry| of its inputs, that no result and
 no intermediate overflows int64; when the proof fails it returns None and
@@ -21,8 +22,7 @@ returned.
 ``groups`` imports this module only when a model builds its batch action,
 on the first ball enumeration.  numpy is loaded with the package anyway (by
 the kernel fallback), so what the deferral saves is compiling this module
-in runs that build no packed ball, such as balls of Z^2 and of braid group
-configs.
+in runs that build no packed ball, such as balls of braid group configs.
 """
 
 from __future__ import annotations
@@ -47,10 +47,13 @@ def max_abs(rows: np.ndarray) -> int:
 
 
 def row_keys(pool: np.ndarray) -> np.ndarray:
-    """One key per row, equal exactly when the rows are equal.  Only the
-    columns that vary in ``pool`` count: each is offset by its minimum and
-    given the bits of its range, and they are packed into one int64 when
-    the widths add up to at most 63 bits, else kept as raw bytes."""
+    """One key per row, equal exactly when the rows are equal.  A pool of
+    one column is its own key.  Otherwise only the columns that vary in
+    ``pool`` count: each is offset by its minimum and given the bits of its
+    range, and they are packed into one int64 when the widths add up to at
+    most 63 bits, else kept as raw bytes."""
+    if pool.shape[1] == 1:
+        return pool[:, 0]
     lows, highs = pool.min(axis=0).tolist(), pool.max(axis=0).tolist()
     cols = [j for j, (a, b) in enumerate(zip(lows, highs)) if a != b]
     widths = [(highs[j] - lows[j]).bit_length() for j in cols]
@@ -335,6 +338,62 @@ class FreeBatch:
         back = np.empty_like(order)
         back[order] = np.arange(len(order))
         return list(map(ordered.__getitem__, back.tolist()))
+
+
+class TableBatch:
+    """Products and inverses of a ``TableGroup``'s elements packed as one
+    column of element indices: a product reads the multiplication table and
+    an inverse the inverse table, so no result can overflow."""
+
+    def __init__(self, table, inverses):
+        self.table = np.array(table, dtype=np.int64)
+        self.inverses = np.array(inverses, dtype=np.int64)
+
+    def pack(self, x) -> np.ndarray:
+        return _pack([x])
+
+    def multiply(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        return self.table[A[:, 0], B[:, 0]][:, None]
+
+    def invert(self, A: np.ndarray) -> np.ndarray:
+        return self.inverses[A[:, 0]][:, None]
+
+    def unpack(self, rows: np.ndarray) -> list:
+        return rows[:, 0].tolist()
+
+
+class ProductBatch:
+    """Products and inverses in a direct product, a row being the factor
+    rows side by side (``widths`` columns each): every operation passes
+    each factor's batch a view of its columns, and returns None as soon as
+    one factor does."""
+
+    def __init__(self, factors: list, widths: list[int]):
+        self.factors = factors
+        ends = np.cumsum(widths).tolist()
+        self._columns = [slice(end - w, end) for end, w in zip(ends, widths)]
+
+    def pack(self, x) -> Optional[np.ndarray]:
+        return _joined(f.pack(a) for f, a in zip(self.factors, x))
+
+    def multiply(self, A: np.ndarray, B: np.ndarray) -> Optional[np.ndarray]:
+        return _joined(f.multiply(A[:, c], B[:, c]) for f, c in zip(self.factors, self._columns))
+
+    def invert(self, A: np.ndarray) -> Optional[np.ndarray]:
+        return _joined(f.invert(A[:, c]) for f, c in zip(self.factors, self._columns))
+
+    def unpack(self, rows: np.ndarray) -> list:
+        return list(zip(*(f.unpack(rows[:, c]) for f, c in zip(self.factors, self._columns))))
+
+
+def _joined(parts) -> Optional[np.ndarray]:
+    """The factor rows side by side, or None at the first None."""
+    blocks = []
+    for part in parts:
+        if part is None:
+            return None
+        blocks.append(part)
+    return np.concatenate(blocks, axis=1)
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:

@@ -22,8 +22,9 @@ it defines (Holt, Eick and O'Brien, *Handbook of Computational Group
 Theory*, 2005, ch. 5).  The state behind a ball is one of two kinds:
 
 * Packed (``_PackedLayers``), for models with a packed batch action
-  (``IntegerMatrixGroup``, ``DyadicAffineGroup`` and ``FreeGroupModel``,
-  under any marking; see ``groups``): the elements are the rows of one
+  (``IntegerMatrixGroup``, ``DyadicAffineGroup``, ``FreeGroupModel``,
+  ``TableGroup`` and direct products of them, under any marking; see
+  ``groups``): the elements are the rows of one
   int64 array.  The frontier rows with an open slot for letter c are
   multiplied by c's image row through the batch's ``multiply``, the one
   row product that every scan and check uses too.  A layer's products are
@@ -49,9 +50,9 @@ Theory*, 2005, ch. 5).  The state behind a ball is one of two kinds:
   and its reverse slot filled at once, so that an edge found from one end
   is never multiplied from the other.
 
-Other models (Garside braids, direct products, tables) stay element by
-element, holding one product at a time; the zoo's braid3 is an integer
-matrix marking and runs packed.
+Other models (Garside braids, and direct products with such a factor) stay
+element by element, holding one product at a time; every zoo group runs
+packed, the zoo's braid3 as an integer matrix marking.
 A frontier search over (element, key) rows, measured when free2 still ran
 element by element, gave the same balls but held a whole layer's products:
 the free2 r=10 centralizer report peaked at 141 MB against 74 MB, and
@@ -153,6 +154,15 @@ class BallIndex:
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         found = first[inverse[n:]]
         return np.where(found < n, found, -1)
+
+    def quotient_vertices(self, A: np.ndarray, B: np.ndarray) -> Optional[np.ndarray]:
+        """The vertex of a^-1 b for each pair of packed rows a, b, -1
+        outside the ball (``vertices_of``), or None when the inverse or the
+        product has no int64 proof."""
+        batch = self._layers.batch
+        inverse = batch.invert(A)
+        quotients = None if inverse is None else batch.multiply(inverse, B)
+        return None if quotients is None else self.vertices_of(quotients)
 
     def elements_at(self, vertices) -> list:
         """The elements of these vertices; a packed ball whose elements are

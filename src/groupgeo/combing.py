@@ -15,7 +15,10 @@ lines are geodesics.  This module measures, over explicit finite families:
 The quasi-geodesic and equivariance checks read any bicombing's lines; the
 other three checks read a ``ShortlexBicombing``'s lines off its ball's prefix
 matrix, enumerate no ball, and raise TypeError for any other bicombing and
-ValueError for a ball of the wrong radius.
+ValueError for a ball of the wrong radius.  Given the vertex pairs or
+triples of a shortlex bicombing's packed ball, those two checks read its
+lines off the prefix matrix too and batch every product and lookup over the
+ball's rows; any other sample runs the element loop, their reference.
 
 Where a ball comes from: the shortlex bicombing and ``conjugator_search``
 reuse the ``index`` they are given when it is a ball of G of at least the
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -196,23 +199,33 @@ class ConstantsReport:
         }
 
 
-def check_quasi_geodesic(
-    sigma: Bicombing, sample: Iterable[tuple[Element, Element]]
-) -> ConstantsReport:
+def check_quasi_geodesic(sigma: Bicombing, sample) -> ConstantsReport:
     """Least (lambda, epsilon) over all subsegments of the sampled lines.
 
-    lambda is minimized first, then epsilon given lambda, so the answer is
-    well defined; for true geodesics both are (1, 0).
+    ``sample`` holds pairs (x, y) of elements, or is an integer array of
+    shape (k, 2) of vertex pairs of a ``ShortlexBicombing``'s ball.  lambda
+    is minimized first, then epsilon given lambda, so the answer is well
+    defined; for true geodesics both are (1, 0).  CapExceeded is raised
+    when a line or a segment leaves the combing ball.  Vertex pairs on a
+    packed ball are measured on its rows (``_segments_on_rows``), the same
+    segments in the same order; any other sample, and vertex pairs without
+    an int64 proof, run the element loop, which is the reference.
     """
-    segments = []  # (span, distance, pair index, s, t)
-    n_pairs = 0
-    for p_idx, (x, y) in enumerate(sample):
-        n_pairs += 1
-        path = sigma.line(x, y)
-        verts = path.vertices
-        for s in range(len(verts)):
-            for t in range(s + 1, len(verts)):
-                segments.append((t - s, sigma.distance(verts[s], verts[t]), p_idx, s, t))
+    on_rows = isinstance(sample, np.ndarray)
+    segments = _segments_on_rows(sigma, sample) if on_rows else None
+    n_pairs = len(sample) if segments is not None else 0
+    if segments is None:
+        if on_rows:
+            flat = iter(sigma.index.elements_at(sample.ravel().tolist()))
+            sample = zip(flat, flat)
+        segments = []  # (span, distance, pair index, s, t)
+        for p_idx, (x, y) in enumerate(sample):
+            n_pairs += 1
+            path = sigma.line(x, y)
+            verts = path.vertices
+            for s in range(len(verts)):
+                for t in range(s + 1, len(verts)):
+                    segments.append((t - s, sigma.distance(verts[s], verts[t]), p_idx, s, t))
     if n_pairs == 0:
         raise TooFewPoints("empty sample")
     lam, lam_witness, eps, eps_witness = _quasi_geodesic_constants(segments)
@@ -221,6 +234,58 @@ def check_quasi_geodesic(
         epsilon=eps,
         witnesses={"lambda": lam_witness, "epsilon": eps_witness},
     )
+
+
+_SEGMENT_BLOCK = 1 << 16  # bounds the segments that one pass of _segments_on_rows holds
+
+
+def _runs(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, one run after another."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _segments_on_rows(sigma: Bicombing, pairs: np.ndarray) -> Optional[list]:
+    """The element loop's segments of vertex pairs (x, y) of sigma's ball,
+    in its order, from the ball's rows: with X and Y the pairs' rows, u the
+    vertex of X^-1 Y and P the prefix matrix, line i has the vertices
+    V_t = X * R[P[u, t]] for t <= |u|, and X cancels from V_s^-1 V_t, so
+    segment (s, t) has the distance depth[vertex of R[P[u, s]]^-1 R[P[u, t]]].
+    The pairs are measured in blocks of under about ``_SEGMENT_BLOCK``
+    segments, so that no pass holds every segment's rows.  Raises
+    CapExceeded where a u or a segment is outside the ball; None where
+    ``_equivariance_on_rows`` gives None."""
+    if type(sigma) is not ShortlexBicombing or sigma.index.rows() is None:
+        return None
+    idx = sigma.index
+    rows = idx.rows()[1]
+    u = idx.quotient_vertices(rows[pairs[:, 0]], rows[pairs[:, 1]])
+    if u is None:
+        return None
+    if (u < 0).any():
+        raise CapExceeded(f"element beyond the combing cap {sigma.cap}")
+    P, depth = idx.prefix_matrix(), idx.depth
+    lengths = depth[u].astype(np.int64)
+    # a line has at most radius * (radius + 1) / 2 segments
+    step = _SEGMENT_BLOCK // (idx.radius + 1) ** 2 + 1
+    segments = []
+    for start in range(0, len(pairs), step):
+        # the block's line vertices, line after line: vertex[a] is line[a]'s
+        # vertex at time at[a], and each segment runs from a vertex[a] to a
+        # later vertex[b] on its line
+        L = lengths[start:start + step]
+        line, at = np.repeat(np.arange(start, start + len(L)), L + 1), _runs(L + 1)
+        vertex = P[u[line], at]
+        reach = lengths[line] - at
+        a = np.repeat(np.arange(len(line)), reach)
+        b = a + 1 + _runs(reach)
+        d = idx.quotient_vertices(rows[vertex[a]], rows[vertex[b]])
+        if d is None:
+            return None
+        if (d < 0).any():
+            raise CapExceeded(f"element beyond the combing cap {sigma.cap}")
+        s, t = at[a], at[b]
+        segments += zip((t - s).tolist(), depth[d].tolist(), line[a].tolist(), s.tolist(), t.tolist())
+    return segments
 
 
 def _quasi_geodesic_constants(segments: list[tuple]) -> tuple:

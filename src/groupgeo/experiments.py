@@ -198,6 +198,8 @@ def group_from_config(config: dict) -> MarkedGroup:
     marking, or a ``marking`` on a free or product config raises KeyError
     naming it; a field of the wrong shape raises ValueError naming it.
     """
+    if not isinstance(config, dict):
+        raise ValueError(f"a group config must be an object, got {config!r}")
     kind = _required(config, "kind")
     if kind in ("free", "product") and "marking" in config:
         raise KeyError(f"unexpected field 'marking' for kind {kind!r}")
@@ -241,7 +243,10 @@ def group_from_config(config: dict) -> MarkedGroup:
         else:
             marking = tuple(model.generator(i) for i in range(len(names)))
     elif kind == "product":
-        factors = [group_from_config(c) for c in _required(config, "factors")]
+        factors = _required(config, "factors")
+        if not isinstance(factors, list):
+            raise ValueError(f"factors must be a list of group configs, got {factors!r}")
+        factors = [group_from_config(c) for c in factors]
         model = DirectProduct(tuple(f.model for f in factors))
         parts = []
         marking_list = []
@@ -261,10 +266,12 @@ def group_from_config(config: dict) -> MarkedGroup:
     alphabet = Alphabet(names)
     presentation = None
     if "presentation" in config:
-        presentation = Presentation(
-            alphabet,
-            tuple(alphabet.parse_word(r) for r in _required(config["presentation"], "relators")),
-        )
+        if not isinstance(config["presentation"], dict):
+            raise ValueError(f"presentation must be an object, got {config['presentation']!r}")
+        relators = _required(config["presentation"], "relators")
+        if not isinstance(relators, list) or not all(isinstance(r, str) for r in relators):
+            raise ValueError(f"relators must be a list of words, got {relators!r}")
+        presentation = Presentation(alphabet, tuple(alphabet.parse_word(r) for r in relators))
     return MarkedGroup(
         model=model, alphabet=alphabet, marking=marking,
         presentation=presentation, name=name,
@@ -577,12 +584,8 @@ def _quotients_in_ball_on_rows(idx: cayley.BallIndex, xs: np.ndarray, ys: np.nda
     rows; None for a ball held element by element or without an int64
     proof."""
     packed = idx.rows()
-    if packed is None:
-        return None
-    batch, rows = packed
-    inverse = batch.invert(rows[xs])
-    quotients = None if inverse is None else batch.multiply(inverse, rows[ys])
-    return None if quotients is None else idx.vertices_of(quotients) >= 0
+    u = None if packed is None else idx.quotient_vertices(packed[1][xs], packed[1][ys])
+    return None if u is None else u >= 0
 
 
 def _quotients_in_ball(idx: cayley.BallIndex, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -615,8 +618,8 @@ def run_combing_report(
     idx = sigma.index
     # check_bounded's cap depends on |B(r)| alone: test it before any work
     combing.check_dense_cap(len(idx), radius)
-    ident = G.model.identity
-    sample = [(ident, g) for g in idx.elements]
+    # the lines from the identity to every vertex
+    sample = np.column_stack((np.zeros(len(idx), dtype=np.intp), np.arange(len(idx))))
     qg = combing.check_quasi_geodesic(sigma, sample)
     bounded = combing.check_bounded(sigma, G, radius)
     equivariant = combing.check_equivariance(sigma, _equivariance_triples(idx, seed))

@@ -14,7 +14,7 @@ product per element, as a packed batch has one row product
 
 Batch actions.  Ball enumeration expands a whole layer at once through the
 model's ``batch_action()``, which depends on the model alone, not on the
-marking.  Three models have a packed one (module ``_packed``), acting on
+marking.  Five models have a packed one (module ``_packed``), acting on
 int64 rows, one row per element:
 
 * ``IntegerMatrixGroup``: the d*d entries in row-major order; a product by
@@ -28,25 +28,32 @@ int64 rows, one row per element:
   letter; a product by one word drops the last code or appends one, once
   per letter of the word, and a product of two arrays cancels where the
   words meet in one masked step per cancelled code.
+* ``TableGroup``: the element index; a product or inverse is a table read.
+* ``DirectProduct``, when every factor has a batch (as z2's two rank-1 free
+  groups do): the factor rows side by side, each operation one call of
+  each factor's batch on its columns.
 
 Every packing is canonical, so equal rows are equal elements.  A packed
 batch action has one product, ``multiply(A, B)``, on row arrays of one
 length or with either one a single row that is broadcast, and one inverse,
 ``invert(A)``; ``pack(y)`` makes an element a row.  Enumeration passes
 ``multiply`` the letter images' rows, a scan tests a whole layer of a ball
-at once, and the equivariance check multiplies the rows of its triples
-pairwise.
+at once, and the equivariance and quasi-geodesic checks multiply the rows
+of their triples and segments pairwise.
 
 The int64 bound rule: before each product or inverse, a batch action proves
 from the largest |entry| of its inputs that no result or intermediate
 overflows, with |result| <= 2M for an elementary matrix and
 <= d * M_A * M_B for a matmul, and d! * M^d for a matrix inverse
-(``DyadicBatch`` states its bound on num, ``FreeBatch`` on the bit length).
+(``DyadicBatch`` states its bound on num, ``FreeBatch`` on the bit length;
+a table product cannot overflow, and a direct product has a proof when
+each factor has one).
 When the proof fails, as it does at once for an element with an entry of
 -2^63 (one past int64 has no row at all), it returns None and enumeration
 goes on element by element over Python integers, so no wrapped integer is
-ever stored.  Every other model returns None from the start: its batch
-action is the default, one ``multiply`` call per open slot.
+ever stored.  Every other model (Garside braids, and a product with such a
+factor) returns None from the start: its batch action is the default, one
+``multiply`` call per open slot.
 
 General products.  ``multiply`` and ``invert`` of arbitrary elements (the
 combing checks, conjugacy tests, every product by a letter image) cost what
@@ -118,6 +125,10 @@ class TableGroup(GroupModel):
     """A finite group given by its multiplication table; elements are indices."""
 
     def __init__(self, names: Sequence[str], table: Sequence[Sequence[int]], identity_index: int = 0):
+        if not isinstance(names, (list, tuple)) or not all(isinstance(x, str) for x in names):
+            raise ValueError(f"names must be a list of element names, got {names!r}")
+        if not isinstance(table, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in table):
+            raise ValueError(f"table must be a list of rows, got {table!r}")
         n = len(names)
         self.names = tuple(names)
         self.table = tuple(tuple(row) for row in table)
@@ -152,6 +163,11 @@ class TableGroup(GroupModel):
 
     def canonical_key(self, x: int) -> bytes:
         return b"t%d" % x
+
+    def batch_action(self):
+        from ._packed import TableBatch
+
+        return TableBatch(self.table, self._inverses)
 
     def index_of(self, name: str) -> int:
         try:
@@ -410,6 +426,15 @@ class DirectProduct(GroupModel):
 
     def invert(self, x):
         return tuple(f.invert(a) for f, a in zip(self.factors, x))
+
+    def batch_action(self):
+        batches = [f.batch_action() for f in self.factors]
+        if not batches or any(b is None for b in batches):
+            return None  # the product of no factors has no columns to pack
+        from ._packed import ProductBatch
+
+        widths = [b.pack(f.identity).shape[1] for b, f in zip(batches, self.factors)]
+        return ProductBatch(batches, widths)
 
     def canonical_key(self, x) -> bytes:
         args = []

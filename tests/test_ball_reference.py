@@ -137,6 +137,21 @@ def _dyadic(*triples):
     })
 
 
+def _s3_table():
+    """S3 as a multiplication table, marked by a transposition and a
+    3-cycle: not abelian, and the 3-cycle is not its own inverse."""
+    perms = [(0, 1, 2), (1, 0, 2), (1, 2, 0), (0, 2, 1), (2, 1, 0), (2, 0, 1)]
+    table = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
+    return group_from_config({
+        "kind": "table", "names": [str(p) for p in perms], "table": table,
+        "alphabet": ["s", "c"], "marking": {"s": str(perms[1]), "c": str(perms[2])},
+    })
+
+
+def _product(*factors):
+    return group_from_config({"kind": "product", "factors": list(factors)})
+
+
 CONFIGS = {
     # an Anosov matrix and an elementary one
     "matrix2": (lambda: _matrix(2, [[2, 1], [1, 1]], [[1, 1], [0, 1]]), 6),
@@ -167,14 +182,22 @@ CONFIGS = {
     "free_1_x": (lambda: _free_marked("", "x"), 7),
     # 20 bits per letter: layer 4 has no int64 proof and runs on tuples
     "free_x10_y10": (lambda: _free_marked(" ".join(["x"] * 10), " ".join(["y"] * 10)), 4),
-    "product": (lambda: group_from_config({
-        "kind": "product",
-        "factors": [
-            {"kind": "free", "alphabet": ["x"]},
-            {"kind": "matrix", "dim": 2, "alphabet": ["a"],
-             "marking": {"a": [["1", "2"], ["0", "1"]]}},
-        ],
+    "table_s3": (_s3_table, 4),
+    # a's image has an entry of 2^62 - 1: layer 2 has no int64 proof
+    "matrix_near_2_62": (lambda: _matrix(2, [[1, 2 ** 62 - 1], [0, 1]], [[1, 0], [1, 1]]), 4),
+    # free x matrix: packed as the factor rows side by side
+    "product": (lambda: _product({"kind": "free", "alphabet": ["x"]}, {
+        "kind": "matrix", "dim": 2, "alphabet": ["a"], "marking": {"a": [["1", "2"], ["0", "1"]]},
     }), 5),
+    # free x matrix_near_2_62: falls back at layer 2, as the matrix factor does
+    "product_past_int64": (lambda: _product({"kind": "free", "alphabet": ["x"]}, {
+        "kind": "matrix", "dim": 2, "alphabet": ["a", "b"],
+        "marking": {"a": [["1", str(2 ** 62 - 1)], ["0", "1"]], "b": [["1", "0"], ["1", "1"]]},
+    }), 4),
+    # a braid factor has no batch action, so neither has the product
+    "product_braid": (lambda: _product(
+        {"kind": "free", "alphabet": ["x"]}, {"kind": "braid", "strands": 3},
+    ), 4),
 }
 
 
@@ -191,12 +214,37 @@ class TestAgainstReference:
 
     def test_configs_cover_both_paths(self):
         packed = {c for c, (make, _) in CONFIGS.items() if make().model.batch_action() is not None}
-        assert packed == set(CONFIGS) - {"product"}
+        assert packed == set(CONFIGS) - {"product_braid"}
         fallen = {
             c for c in packed
             if isinstance(cayley.ball(CONFIGS[c][0](), CONFIGS[c][1])._layers, cayley._ElementLayers)
         }
-        assert fallen == {"matrix_past_int64", "dyadic_past_int64", "free_x10_y10"}
+        assert fallen == {
+            "matrix_past_int64", "matrix_near_2_62", "dyadic_past_int64", "free_x10_y10",
+            "product_past_int64",
+        }
+
+    def test_product_of_no_factors_is_trivial(self):
+        G = _product()
+        assert G.model.batch_action() is None
+        assert cayley.ball(G, 3).sphere_sizes == [1, 0, 0, 0]
+
+    def test_product_falls_back_at_its_factor_layer(self, monkeypatch):
+        # the first layer expanded element by element
+        first = []
+        expand = cayley._ElementLayers.expand
+
+        def spy(self, r, max_elements):
+            first.append(r)
+            return expand(self, r, max_elements)
+
+        monkeypatch.setattr(cayley._ElementLayers, "expand", spy)
+        for case in ("matrix_near_2_62", "product_past_int64"):
+            first.clear()
+            make, radius = CONFIGS[case]
+            idx, _ = _assert_same_ball(make(), radius)
+            assert first[0] == 2
+            assert isinstance(idx._layers, cayley._ElementLayers)
 
     @pytest.mark.parametrize("group, word", [
         ("heis3", "a b a"), ("bs12", "t a t^-1"), ("sl2z", "a b a"), ("free2", "x y"),
@@ -244,7 +292,7 @@ class TestInt64Boundary:
     def test_matrix_entries_near_2_62(self, monkeypatch):
         # a's image has an entry of 2^62 - 1: layer 1 is packed, and the
         # products of layer 2 have no int64 proof, so they run on Python ints
-        G = _matrix(2, [[1, 2 ** 62 - 1], [0, 1]], [[1, 0], [1, 1]])
+        G = CONFIGS["matrix_near_2_62"][0]()
         rows = _count_batch_rows(G, monkeypatch)
         idx, _ = _assert_same_ball(G, 4)
         assert rows[0] > 0
@@ -524,13 +572,15 @@ class TestRowProducts:
         assert batch.unpack(batch.multiply(B, rows)) == [multiply(y, x) for x, y in zip(xs, pairs)]
         assert batch.unpack(batch.invert(rows)) == [model.invert(x) for x in xs]
 
-    @pytest.mark.parametrize("group", ["bs12", "heis3", "sl2z"])
+    @pytest.mark.parametrize("group", ["bs12", "heis3", "kleinfour", "sl2z", "z2"])
     def test_zoo(self, group):
         G = get_group(group)
         rng = random.Random(group)
         self._check(G, _sample_elements(G, rng, 60, 8), _sample_elements(G, rng, 12, 8))
 
-    @pytest.mark.parametrize("case", ["matrix3", "matrix4", "dyadic_half", "dyadic_negative_k"])
+    @pytest.mark.parametrize("case", [
+        "matrix3", "matrix4", "dyadic_half", "dyadic_negative_k", "product", "table_s3",
+    ])
     def test_configs(self, case):
         G = CONFIGS[case][0]()
         rng = random.Random(case)

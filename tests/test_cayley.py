@@ -374,9 +374,11 @@ class TestOneProductPerEdge:
         assert calls[1] - 1456 == (m - 1) * idx.sphere_sizes[-1] == 2916
         assert calls[0] == 0
 
-    @pytest.mark.parametrize("group", ZOO)
+    # every zoo ball is packed; a braid config runs element by element
+    @pytest.mark.parametrize("group", ZOO + ("braid_config",))
     def test_one_call_per_reverse_slot_pair(self, group, monkeypatch):
-        G = get_group(group)
+        G = (group_from_config({"kind": "braid", "strands": 3}) if group == "braid_config"
+             else get_group(group))
         calls = _count_products(G, monkeypatch)
         idx = cayley.ball(G, 5)
         table = idx._neighbour_table()

@@ -117,6 +117,8 @@ class TestQuasiGeodesic:
         sigma = combing.shortlex_bicombing(G, 2)
         with pytest.raises(TooFewPoints):
             combing.check_quasi_geodesic(sigma, [])
+        with pytest.raises(TooFewPoints):
+            combing.check_quasi_geodesic(sigma, np.zeros((0, 2), dtype=np.intp))
 
 
 class TestEquivariance:
@@ -552,10 +554,7 @@ class TestEquivarianceOnRows:
         raw = _raw_triples(idx, 3)
         by_elements = experiments._quotients_in_ball(idx, raw[:, 1], raw[:, 2])
         on_rows = experiments._quotients_in_ball_on_rows(idx, raw[:, 1], raw[:, 2])
-        if G.model.batch_action() is None:
-            assert on_rows is None
-        else:
-            np.testing.assert_array_equal(on_rows, by_elements)
+        np.testing.assert_array_equal(on_rows, by_elements)
         # B(3) is the whole of kleinfour; elsewhere some quotients leave the ball
         assert by_elements.all() == (name == "kleinfour")
 
@@ -569,10 +568,7 @@ class TestEquivarianceOnRows:
         for triples in (report_triples, raw):
             status = combing._equivariance_on_rows(sigma, triples)
             want = [_element_status(sigma, tuple(elements[v] for v in t)) for t in triples.tolist()]
-            if G.model.batch_action() is None:
-                assert status is None
-            else:
-                assert status.tolist() == want
+            assert status.tolist() == want
         assert combing.check_equivariance(sigma, report_triples)
         if name == "kleinfour":  # B(3) is the whole group
             assert -1 not in want

@@ -448,12 +448,25 @@ class TestCli:
          "alphabet must be a list of generator names, got 'xy'"),
         ({"kind": "matrix", "dim": 2, "alphabet": ["a"], "marking": ["a"]},
          "marking must be an object, got ['a']"),
+        (_z3_table(names=5), "names must be a list of element names, got 5"),
+        (_z3_table(table=[5]), "table must be a list of rows, got [5]"),
+        ({"kind": "product", "factors": 5}, "factors must be a list of group configs, got 5"),
+        ({"kind": "product", "factors": [5]}, "a group config must be an object, got 5"),
+        ({"kind": "free", "alphabet": ["x"], "presentation": 5},
+         "presentation must be an object, got 5"),
+        ({"kind": "free", "alphabet": ["x"], "presentation": {"relators": 5}},
+         "relators must be a list of words, got 5"),
+        ({"kind": "free", "alphabet": ["x"], "presentation": {"relators": [5]}},
+         "relators must be a list of words, got [5]"),
+        ("5", "a group config must be an object, got 5"),
     ], ids=["kind", "factor-kind", "names", "marking", "free-marking", "product-marking",
             "factor-free-marking", "unknown-kind", "determinant-2", "truncated-json",
             "table-entry-negative", "table-entry-past-n", "table-identity-string",
             "table-marking-unknown", "dyadic-four-entries", "dyadic-two-entries",
             "dyadic-scalar", "matrix-scalar", "braid-strands-string", "braid-index-string",
-            "alphabet-string", "marking-list"])
+            "alphabet-string", "marking-list", "names-scalar", "table-row-scalar",
+            "factors-scalar", "factor-scalar", "presentation-scalar", "relators-scalar",
+            "relator-number", "config-scalar"])
     def test_config_error_names_file_and_field(self, config, message, tmp_path, monkeypatch, capsys):
         # a config given as a string is written as it is, malformed or not
         monkeypatch.chdir(tmp_path)

@@ -104,10 +104,19 @@ def _reject_all(rows):
     raise AssertionError("an unpacked ball must not call the row filter")
 
 
-@pytest.mark.parametrize("group", ["z2", "braid3"])
-def test_unpacked_ball_ignores_filter(group):
+UNPACKED_CONFIGS = {
     # braid3's zoo marking is packed; a braid config keeps Garside normal forms
-    G = get_group(group) if group == "z2" else group_from_config({"kind": "braid", "strands": 3})
+    "braid3": {"kind": "braid", "strands": 3},
+    # a product has a batch only when every factor has one
+    "product_braid": {"kind": "product", "factors": [
+        {"kind": "free", "alphabet": ["x"]}, {"kind": "braid", "strands": 3},
+    ]},
+}
+
+
+@pytest.mark.parametrize("group", sorted(UNPACKED_CONFIGS))
+def test_unpacked_ball_ignores_filter(group):
+    G = group_from_config(UNPACKED_CONFIGS[group])
     idx = cayley.ball(G, 3)
     assert G.model.batch_action() is None
     vertices, elements = idx.select(_reject_all)
