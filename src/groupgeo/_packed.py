@@ -12,12 +12,12 @@ built from the model alone and has one product and one inverse:
 ``multiply(A, B)`` multiplies row arrays A and B of one length row by row,
 or broadcasts either one when it is a single row, so a product by a letter
 image and the pairwise products of the combing checks are the same call;
-``invert(A)`` inverts every row.  ``pack`` turns one element into a single row, or None when an
-entry does not fit int64.  Before it computes anything each product and
-inverse proves, from the largest |entry| of its inputs, that no result and
-no intermediate overflows int64; when the proof fails it returns None and
-the caller continues on Python integers.  So no wrapped integer is ever
-returned.
+``invert(A)`` inverts every row.  ``pack`` turns one element into a single
+row, and raises OverflowError when an entry does not fit int64.  Before it
+computes anything each product and inverse proves, from the largest |entry|
+of its inputs, that no result and no intermediate overflows int64; when the
+proof fails it raises OverflowError, and the caller that catches it
+continues on Python integers.  So no wrapped integer is ever returned.
 
 ``groups`` imports this module only when a model builds its batch action,
 on the first ball enumeration.  numpy is loaded with the package anyway (by
@@ -67,12 +67,9 @@ def row_keys(pool: np.ndarray) -> np.ndarray:
     return key
 
 
-def _pack(values) -> Optional[np.ndarray]:
-    """One int64 row of these Python ints, or None when one is past int64."""
-    try:
-        return np.array([values], dtype=np.int64)
-    except OverflowError:
-        return None
+def _pack(values) -> np.ndarray:
+    """One int64 row of these Python ints; OverflowError past int64."""
+    return np.array([values], dtype=np.int64)
 
 
 def _elementary(row: list, d: int) -> Optional[tuple[int, int, int]]:
@@ -100,31 +97,31 @@ class MatrixBatch:
     def __init__(self, dim: int):
         self.dim = dim
 
-    def pack(self, x) -> Optional[np.ndarray]:
+    def pack(self, x) -> np.ndarray:
         return _pack(sum(x, ()))
 
-    def multiply(self, A: np.ndarray, B: np.ndarray) -> Optional[np.ndarray]:
+    def multiply(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """A * B row by row: one column operation when B is one elementary
         row, else one batched matmul."""
         d = self.dim
         elementary = _elementary(B[0].tolist(), d) if len(B) == 1 else None
         if elementary is None:
             if d * max_abs(A) * max_abs(B) > INT64_MAX:
-                return None
+                raise OverflowError("matrix product past int64")
             return np.matmul(A.reshape(-1, d, d), B.reshape(-1, d, d)).reshape(-1, d * d)
         i, j, s = elementary
         if 2 * max_abs(A) > INT64_MAX:
-            return None
+            raise OverflowError("column operation past int64")
         out = A.copy()
         col = out[:, j::d]
         (np.add if s > 0 else np.subtract)(col, A[:, i::d], out=col)
         return out
 
-    def invert(self, A: np.ndarray) -> Optional[np.ndarray]:
+    def invert(self, A: np.ndarray) -> np.ndarray:
         """The exact inverse of every row: adjugate times determinant."""
         d = self.dim
         if math.factorial(d) * max_abs(A) ** d > INT64_MAX:
-            return None
+            raise OverflowError("matrix inverse past int64")
         cols = [A[:, k] for k in range(d * d)]
         adj, det = _straight_line(d)[1](tuple(tuple(cols[i * d:(i + 1) * d]) for i in range(d)))
         out = np.empty_like(A)
@@ -165,20 +162,19 @@ class DyadicBatch:
     positive and normalised as a product's.
     """
 
-    def pack(self, x) -> Optional[np.ndarray]:
+    def pack(self, x) -> np.ndarray:
         return _pack(x)
 
-    def multiply(self, A: np.ndarray, B: np.ndarray) -> Optional[np.ndarray]:
+    def multiply(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return _compose((A[:, 0], A[:, 1], A[:, 2]), (B[:, 0], B[:, 1], B[:, 2]))
 
-    def invert(self, A: np.ndarray) -> Optional[np.ndarray]:
+    def invert(self, A: np.ndarray) -> np.ndarray:
         k, p, e = A[:, 0], A[:, 1], A[:, 2]
         (k_lo, k_hi), (p_lo, p_hi), (e_lo, e_hi) = _extremes(k), _extremes(p), _extremes(e)
         up = max(-(k_lo + e_lo), 0)  # the largest left shift of num
-        if min(k_lo, p_lo) < -INT64_MAX or e_hi + k_hi > INT64_MAX or up > 62:
-            return None
-        if max(-p_lo, p_hi) << up > INT64_MAX:
-            return None
+        if (min(k_lo, p_lo) < -INT64_MAX or e_hi + k_hi > INT64_MAX or up > 62
+                or max(-p_lo, p_hi) << up > INT64_MAX):  # up <= 62 bounds this shift
+            raise OverflowError("dyadic inverse past int64")
         E = e + k
         out = _normalised(np.left_shift(-p, np.maximum(-E, 0)), np.maximum(E, 0))
         np.negative(k, out=out[:, 0])
@@ -193,9 +189,9 @@ def _extremes(v: np.ndarray) -> tuple[int, int]:
     return (int(v.min()), int(v.max())) if len(v) else (0, 0)
 
 
-def _compose(x, y) -> Optional[np.ndarray]:
+def _compose(x, y) -> np.ndarray:
     """The dyadic products x * y of column triples, either one a single row
-    that is broadcast, as new rows; None without the bound of
+    that is broadcast, as new rows; OverflowError without the bound of
     ``DyadicBatch``."""
     k1, p1, e1 = x
     k2, p2, e2 = y
@@ -205,12 +201,12 @@ def _compose(x, y) -> Optional[np.ndarray]:
     e2_lo, e2_hi = _extremes(e2)
     S = max(e2_hi + K, _extremes(e1)[1], 0)
     if S > 62:  # then K <= S keeps the shifts below small
-        return None
+        raise OverflowError("dyadic product past int64")
     bound = P1 << S
     if P2:
         bound += P2 << (S - e2_lo + K)
     if bound > INT64_MAX or K + max(map(abs, _extremes(k2))) > INT64_MAX:
-        return None
+        raise OverflowError("dyadic product past int64")
     e2k = e2 - k1
     E = np.maximum(np.maximum(e2k, e1), 0)
     num = np.left_shift(p1, E - e1)
@@ -247,28 +243,28 @@ class FreeBatch:
     with those of a^-1, one masked step per j up to 63 // b and none after
     the last pair stops cancelling, and the product is a without k codes
     shifted over b without k.  The product has at most the bit lengths of a
-    and b added less one, so it is proved from the largest rows: it returns
-    None when that sum is past 64.  The inverse reverses the codes and flips
-    each code's low bit, one masked step per code, and is no longer than
-    its row.
+    and b added less one, so it is proved from the largest rows: it raises
+    OverflowError when that sum is past 64.  The inverse reverses the codes
+    and flips each code's low bit, one masked step per code, and is no
+    longer than its row.
     """
 
     def __init__(self, rank: int):
         self.bits = (2 * rank - 1).bit_length()
         self._mask = (1 << self.bits) - 1
 
-    def pack(self, x) -> Optional[np.ndarray]:
+    def pack(self, x) -> np.ndarray:
         row = 1
         for c in x:
             row = row << self.bits | c
         return _pack([row])
 
-    def multiply(self, A: np.ndarray, B: np.ndarray) -> Optional[np.ndarray]:
+    def multiply(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         b, mask = self.bits, self._mask
         a_max = int(A.max()) if len(A) else 1
         b_max = int(B.max()) if len(B) else 1
         if a_max.bit_length() + b_max.bit_length() > 64:
-            return None
+            raise OverflowError("free product past int64")
         if len(B) == 1:
             # one code c of b at a time: drop a's last code where it is
             # c ^ 1, else append c; a row above the mask holds a code
@@ -365,35 +361,25 @@ class TableBatch:
 class ProductBatch:
     """Products and inverses in a direct product, a row being the factor
     rows side by side (``widths`` columns each): every operation passes
-    each factor's batch a view of its columns, and returns None as soon as
-    one factor does."""
+    each factor's batch a view of its columns, and so raises OverflowError
+    when one factor does."""
 
     def __init__(self, factors: list, widths: list[int]):
         self.factors = factors
         ends = np.cumsum(widths).tolist()
-        self._columns = [slice(end - w, end) for end, w in zip(ends, widths)]
+        self._parts = [(f, slice(end - w, end)) for f, end, w in zip(factors, ends, widths)]
 
-    def pack(self, x) -> Optional[np.ndarray]:
-        return _joined(f.pack(a) for f, a in zip(self.factors, x))
+    def pack(self, x) -> np.ndarray:
+        return np.concatenate([f.pack(a) for f, a in zip(self.factors, x)], axis=1)
 
-    def multiply(self, A: np.ndarray, B: np.ndarray) -> Optional[np.ndarray]:
-        return _joined(f.multiply(A[:, c], B[:, c]) for f, c in zip(self.factors, self._columns))
+    def multiply(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        return np.concatenate([f.multiply(A[:, c], B[:, c]) for f, c in self._parts], axis=1)
 
-    def invert(self, A: np.ndarray) -> Optional[np.ndarray]:
-        return _joined(f.invert(A[:, c]) for f, c in zip(self.factors, self._columns))
+    def invert(self, A: np.ndarray) -> np.ndarray:
+        return np.concatenate([f.invert(A[:, c]) for f, c in self._parts], axis=1)
 
     def unpack(self, rows: np.ndarray) -> list:
-        return list(zip(*(f.unpack(rows[:, c]) for f, c in zip(self.factors, self._columns))))
-
-
-def _joined(parts) -> Optional[np.ndarray]:
-    """The factor rows side by side, or None at the first None."""
-    blocks = []
-    for part in parts:
-        if part is None:
-            return None
-        blocks.append(part)
-    return np.concatenate(blocks, axis=1)
+        return list(zip(*(f.unpack(rows[:, c]) for f, c in self._parts)))
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:

@@ -42,8 +42,9 @@ Theory*, 2005, ch. 5).  The state behind a ball is one of two kinds:
   filter on the int64 rows passes, and ``elements_at`` only the vertices
   asked for.  A stop search (``word_length_of``, ``geodesic_shortlex``)
   compares its element's row with each layer's rows once, decoding nothing.
-  Where a layer cannot prove that its products fit in int64, it and the
-  rest of the enumeration run element by element on Python integers.
+  Where a layer's batch raises OverflowError, unable to prove that its
+  products fit in int64, it and the rest of the enumeration run element by
+  element on Python integers, as a letter image past int64 does from layer 1.
 * Element by element (``_ElementLayers``), the default batch action: a list
   of elements and a dict from canonical key to vertex in vertex order, each
   open slot v, c filled by the model's ``multiply(v, letter_images[c])``
@@ -123,14 +124,13 @@ class BallIndex:
         """(vertices, elements) of the vertices whose packed rows pass
         ``row_filter``, a map from an int64 row array in the batch action's
         layout (see ``_packed``) to a boolean mask; only those rows are
-        decoded.  Every vertex and ``elements`` when the filter is None or
-        the ball is not packed."""
+        decoded, through ``elements_at``.  Every vertex and ``elements``
+        when the filter is None or the ball is not packed."""
         packed = self.rows()
         if row_filter is None or packed is None:
             return range(len(self)), self.elements
-        batch, rows = packed
-        vs = np.flatnonzero(row_filter(rows))
-        return vs.tolist(), batch.unpack(rows[vs])
+        vs = np.flatnonzero(row_filter(packed[1])).tolist()
+        return vs, self.elements_at(vs)
 
     def rows(self) -> Optional[tuple]:
         """(batch action, int64 rows in vertex order) of a packed ball,
@@ -155,14 +155,12 @@ class BallIndex:
         found = first[inverse[n:]]
         return np.where(found < n, found, -1)
 
-    def quotient_vertices(self, A: np.ndarray, B: np.ndarray) -> Optional[np.ndarray]:
+    def quotient_vertices(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """The vertex of a^-1 b for each pair of packed rows a, b, -1
-        outside the ball (``vertices_of``), or None when the inverse or the
-        product has no int64 proof."""
+        outside the ball (``vertices_of``); OverflowError when the inverse
+        or the product has no int64 proof."""
         batch = self._layers.batch
-        inverse = batch.invert(A)
-        quotients = None if inverse is None else batch.multiply(inverse, B)
-        return None if quotients is None else self.vertices_of(quotients)
+        return self.vertices_of(batch.multiply(batch.invert(A), B))
 
     def elements_at(self, vertices) -> list:
         """The elements of these vertices; a packed ball whose elements are
@@ -371,7 +369,6 @@ class _PackedLayers:
     def __init__(self, G: MarkedGroup, batch):
         self.G = G
         self.batch = batch
-        # one row per letter image, None for an image past int64
         self.images = [batch.pack(y) for y in G.letter_images]
         m = len(G.letter_images)
         self.rows = [batch.pack(G.model.identity)]
@@ -384,7 +381,10 @@ class _PackedLayers:
     @classmethod
     def start(cls, G: MarkedGroup) -> Optional["_PackedLayers"]:
         batch = G.model.batch_action()
-        return None if batch is None else cls(G, batch)
+        try:
+            return None if batch is None else cls(G, batch)
+        except OverflowError:  # a letter image past int64 has no row
+            return None
 
     def elements(self) -> list:
         if self._elements is None:
@@ -405,18 +405,18 @@ class _PackedLayers:
         """The vertex of g in the last layer, whose rows equal g's row there
         (packings are canonical), or None; the layers before it were
         searched on earlier calls, and a g with no row is in none."""
-        row = self.batch.pack(g)
-        if row is None:
+        try:
+            hits = np.flatnonzero((self.rows[-1] == self.batch.pack(g)).all(axis=1))
+        except OverflowError:
             return None
-        hits = np.flatnonzero((self.rows[-1] == row).all(axis=1))
         return int(hits[0]) + self.lo if len(hits) else None
 
     def _link(self, rows_f: np.ndarray, table_f: np.ndarray):
         """The products on the open slots of frontier rows ``rows_f`` (whose
         table rows are ``table_f``) and their dedup against the frontier:
         (src, code, candidates, first, inverse) from one ``np.unique`` over
-        frontier rows then candidates, or None when the batch action cannot
-        prove that a product fits in int64."""
+        frontier rows then candidates; OverflowError, changing nothing, when
+        the batch action cannot prove that a product fits in int64."""
         from ._packed import row_keys  # loaded with the batch action
 
         m = table_f.shape[1]
@@ -427,22 +427,16 @@ class _PackedLayers:
         for c, y in enumerate(self.images):
             sel = np.flatnonzero(code == c)
             if len(sel):
-                out = None if y is None else multiply(rows_f[src[sel]], y)
-                if out is None:
-                    return None
-                cand[sel] = out
+                cand[sel] = multiply(rows_f[src[sel]], y)
         keys = row_keys(np.concatenate((rows_f, cand)))
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         return src, code, cand, first, inverse
 
-    def expand(self, r: int, max_elements: int) -> Optional[int]:
-        """Append layer r; the number of new vertices, or None, with nothing
-        changed, when the batch action cannot prove its products fit."""
+    def expand(self, r: int, max_elements: int) -> int:
+        """Append layer r; the number of new vertices, or OverflowError, with
+        nothing changed, when the batch action cannot prove its products fit."""
         rows_f, table_f = self.rows[-1], self.tables[-1]
-        linked = self._link(rows_f, table_f)
-        if linked is None:
-            return None
-        src, code, cand, first, inverse = linked
+        src, code, cand, first, inverse = self._link(rows_f, table_f)
         k = len(rows_f)
         new = first >= k
         count = int(np.count_nonzero(new))
@@ -473,10 +467,10 @@ class _PackedLayers:
     def close(self):
         """Fill the last layer's open slots, -1 outside the ball."""
         rows_f, table_f = self.rows[self.lo:], self.tables[self.lo:]
-        linked = self._link(rows_f, table_f)
-        if linked is None:
+        try:
+            src, code, _, first, inverse = self._link(rows_f, table_f)
+        except OverflowError:  # no int64 proof: the slots are filled on Python ints
             return _ElementLayers.from_packed(self).close()
-        src, code, _, first, inverse = linked
         k = len(rows_f)
         # every product is a frontier row or outside the ball, and a slot
         # between two frontier rows is open at both ends
@@ -526,8 +520,11 @@ def ball(
             found = layers.find(_stop)
             if found is not None:
                 break
-        count = layers.expand(r, max_elements)
-        if count is None:
+        try:
+            count = layers.expand(r, max_elements)
+        except OverflowError:
+            if not isinstance(layers, _PackedLayers):
+                raise  # Python-int arithmetic, not a batch's missing proof
             # no int64 proof for this layer: it and the rest run on Python ints
             layers = _ElementLayers.from_packed(layers.seal())
             count = layers.expand(r, max_elements)

@@ -208,11 +208,15 @@ def check_quasi_geodesic(sigma: Bicombing, sample) -> ConstantsReport:
     defined; for true geodesics both are (1, 0).  CapExceeded is raised
     when a line or a segment leaves the combing ball.  Vertex pairs on a
     packed ball are measured on its rows (``_segments_on_rows``), the same
-    segments in the same order; any other sample, and vertex pairs without
-    an int64 proof, run the element loop, which is the reference.
+    segments in the same order; any other sample, and vertex pairs whose
+    products raise OverflowError (no int64 proof), run the element loop,
+    which is the reference.
     """
     on_rows = isinstance(sample, np.ndarray)
-    segments = _segments_on_rows(sigma, sample) if on_rows else None
+    try:
+        segments = _segments_on_rows(sigma, sample) if on_rows else None
+    except OverflowError:  # the element loop measures every pair
+        segments = None
     n_pairs = len(sample) if segments is not None else 0
     if segments is None:
         if on_rows:
@@ -244,6 +248,12 @@ def _runs(counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
+def _shortlex_rows(sigma: Bicombing) -> Optional[tuple]:
+    """(batch action, rows) of a shortlex bicombing's packed ball; None for
+    any other bicombing and for a ball held element by element."""
+    return sigma.index.rows() if type(sigma) is ShortlexBicombing else None
+
+
 def _segments_on_rows(sigma: Bicombing, pairs: np.ndarray) -> Optional[list]:
     """The element loop's segments of vertex pairs (x, y) of sigma's ball,
     in its order, from the ball's rows: with X and Y the pairs' rows, u the
@@ -252,15 +262,13 @@ def _segments_on_rows(sigma: Bicombing, pairs: np.ndarray) -> Optional[list]:
     segment (s, t) has the distance depth[vertex of R[P[u, s]]^-1 R[P[u, t]]].
     The pairs are measured in blocks of under about ``_SEGMENT_BLOCK``
     segments, so that no pass holds every segment's rows.  Raises
-    CapExceeded where a u or a segment is outside the ball; None where
-    ``_equivariance_on_rows`` gives None."""
-    if type(sigma) is not ShortlexBicombing or sigma.index.rows() is None:
+    CapExceeded where a u or a segment is outside the ball, OverflowError
+    where a product has no int64 proof; None as ``_shortlex_rows`` is."""
+    packed = _shortlex_rows(sigma)
+    if packed is None:
         return None
-    idx = sigma.index
-    rows = idx.rows()[1]
+    idx, rows = sigma.index, packed[1]
     u = idx.quotient_vertices(rows[pairs[:, 0]], rows[pairs[:, 1]])
-    if u is None:
-        return None
     if (u < 0).any():
         raise CapExceeded(f"element beyond the combing cap {sigma.cap}")
     P, depth = idx.prefix_matrix(), idx.depth
@@ -279,8 +287,6 @@ def _segments_on_rows(sigma: Bicombing, pairs: np.ndarray) -> Optional[list]:
         a = np.repeat(np.arange(len(line)), reach)
         b = a + 1 + _runs(reach)
         d = idx.quotient_vertices(rows[vertex[a]], rows[vertex[b]])
-        if d is None:
-            return None
         if (d < 0).any():
             raise CapExceeded(f"element beyond the combing cap {sigma.cap}")
         s, t = at[a], at[b]
@@ -331,10 +337,13 @@ def check_equivariance(sigma: Bicombing, sample) -> bool:
     raised at the first one whose line leaves the combing ball.  Vertex
     triples on a packed ball are checked on its rows, all at once
     (``_equivariance_on_rows``); any other sample, and vertex triples whose
-    products have no int64 proof, run the element loop, which is the
-    reference."""
+    products raise OverflowError (no int64 proof), run the element loop,
+    which is the reference."""
     if isinstance(sample, np.ndarray):
-        status = _equivariance_on_rows(sigma, sample)
+        try:
+            status = _equivariance_on_rows(sigma, sample)
+        except OverflowError:  # the element loop checks every triple
+            status = None
         if status is not None:
             failed = np.flatnonzero(status != 1)
             if not len(failed):
@@ -365,27 +374,17 @@ def _equivariance_on_rows(sigma: Bicombing, triples: np.ndarray) -> Optional[np.
     vertices at time t are X * R[P[u, t]] and GX * R[P[u', t]], padded with
     their ends as ``DiscretePath.at`` pads, so the comparison at every t of
     the ball's radius is the element loop's.  Every packing is canonical,
-    so equal rows are equal elements.  None for any bicombing but the
-    shortlex one, for a ball held element by element, and when a product
-    has no int64 proof."""
-    if type(sigma) is not ShortlexBicombing:
-        return None
-    idx = sigma.index
-    packed = idx.rows()
+    so equal rows are equal elements.  Raises OverflowError where a product
+    has no int64 proof; None as ``_shortlex_rows`` is."""
+    packed = _shortlex_rows(sigma)
     if packed is None:
         return None
+    idx = sigma.index
     batch, rows = packed
     multiply, invert = batch.multiply, batch.invert
-
-    def product(A, B):
-        return None if A is None or B is None else multiply(A, B)
-
     G, X, Y = rows[triples[:, 0]], rows[triples[:, 1]], rows[triples[:, 2]]
     GX, GY = multiply(G, X), multiply(G, Y)
-    U = product(invert(X), Y)
-    U2 = None if GX is None else product(invert(GX), GY)
-    if U is None or U2 is None:
-        return None
+    U, U2 = multiply(invert(X), Y), multiply(invert(GX), GY)
     k = len(triples)
     u = idx.vertices_of(np.concatenate((U, U2)))
     outside = (u[:k] < 0) | (u[k:] < 0)
@@ -393,10 +392,8 @@ def _equivariance_on_rows(sigma: Bicombing, triples: np.ndarray) -> Optional[np.
     T = P.shape[1]
     # row i * T + t holds triple i at time t
     at = P[np.maximum(u, 0)].reshape(2, k * T)
-    lhs = product(np.repeat(G, T, axis=0), product(np.repeat(X, T, axis=0), rows[at[0]]))
-    rhs = product(np.repeat(GX, T, axis=0), rows[at[1]])
-    if lhs is None or rhs is None:
-        return None
+    lhs = multiply(np.repeat(G, T, axis=0), multiply(np.repeat(X, T, axis=0), rows[at[0]]))
+    rhs = multiply(np.repeat(GX, T, axis=0), rows[at[1]])
     same = (lhs == rhs).all(axis=1).reshape(k, T).all(axis=1)
     return np.where(outside, -1, same.astype(np.int8))
 
@@ -507,11 +504,11 @@ def _conjugators_in_ball(
     packed ball (``BallIndex.rows``), decoded or not, every layer after the
     identity is tested at once on its rows: the packings are canonical, so
     the conjugators are the rows whose two products are equal, and none is
-    decoded.  Only a layer whose products have no int64 proof is decoded
-    and tested vertex by vertex, two products and two keys per vertex, as
-    is every vertex of a ball held element by element.  A search that stops
-    at the identity, as every search for a central a does, runs no array
-    operation."""
+    decoded.  Only a layer whose packings or products raise OverflowError
+    (gamma or a past int64, or no int64 proof) is decoded and tested vertex
+    by vertex, two products and two keys per vertex, as is every vertex of
+    a ball held element by element.  A search that stops at the identity, as
+    every search for a central a does, runs no array operation."""
     multiply, canonical_key = G.model.multiply, G.model.canonical_key
 
     def by_element(vertices, elements):
@@ -525,16 +522,17 @@ def _conjugators_in_ball(
         return
     yield from by_element([0], [G.model.identity])
     batch, rows = packed
-    gamma_row, a_row = batch.pack(gamma), batch.pack(a)
     start = 1
     for count in idx.sphere_sizes[1: n + 1]:
         layer = rows[start:start + count]
-        right = None if gamma_row is None else batch.multiply(layer, gamma_row)
-        left = None if right is None or a_row is None else batch.multiply(a_row, layer)
-        if left is None:
+        try:
+            same = (
+                batch.multiply(layer, batch.pack(gamma)) == batch.multiply(batch.pack(a), layer)
+            ).all(axis=1)
+        except OverflowError:  # gamma or a has no row, or no int64 proof: this layer by elements
             yield from by_element(range(start, start + count), batch.unpack(layer))
         else:
-            yield from (start + (right == left).all(axis=1).nonzero()[0]).tolist()
+            yield from (start + same.nonzero()[0]).tolist()
         start += count
 
 

@@ -564,28 +564,24 @@ def _equivariance_triples(idx: cayley.BallIndex, seed: int) -> np.ndarray:
     vertices of the ball: x is kept whenever x^-1 y lies in the ball,
     otherwise the line is anchored at the identity, vertex 0.  On a packed
     ball that test is one batched inverse, product and lookup
-    (``_quotients_in_ball_on_rows``); on any other, or without an int64
-    proof, one product and key per triple."""
+    (``BallIndex.quotient_vertices``); on any other, or where those raise
+    OverflowError (no int64 proof), one product and key per triple."""
     rng = random.Random(seed)
     vertices = range(len(idx))
     triples = np.array(
         [[rng.choice(vertices) for _ in range(3)] for _ in range(_EQUIVARIANCE_TRIPLES)],
         dtype=np.intp,
     )
-    kept = _quotients_in_ball_on_rows(idx, triples[:, 1], triples[:, 2])
+    xs, ys = triples[:, 1], triples[:, 2]
+    packed = idx.rows()
+    try:
+        kept = None if packed is None else idx.quotient_vertices(packed[1][xs], packed[1][ys]) >= 0
+    except OverflowError:  # the element reference decides
+        kept = None
     if kept is None:
-        kept = _quotients_in_ball(idx, triples[:, 1], triples[:, 2])
+        kept = _quotients_in_ball(idx, xs, ys)
     triples[~kept, 1] = 0
     return triples
-
-
-def _quotients_in_ball_on_rows(idx: cayley.BallIndex, xs: np.ndarray, ys: np.ndarray):
-    """Whether x^-1 y lies in the ball, per pair of vertices, on packed
-    rows; None for a ball held element by element or without an int64
-    proof."""
-    packed = idx.rows()
-    u = None if packed is None else idx.quotient_vertices(packed[1][xs], packed[1][ys])
-    return None if u is None else u >= 0
 
 
 def _quotients_in_ball(idx: cayley.BallIndex, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -49,11 +49,12 @@ overflows, with |result| <= 2M for an elementary matrix and
 a table product cannot overflow, and a direct product has a proof when
 each factor has one).
 When the proof fails, as it does at once for an element with an entry of
--2^63 (one past int64 has no row at all), it returns None and enumeration
-goes on element by element over Python integers, so no wrapped integer is
-ever stored.  Every other model (Garside braids, and a product with such a
-factor) returns None from the start: its batch action is the default, one
-``multiply`` call per open slot.
+-2^63, it raises OverflowError, as ``pack`` does for an entry past int64;
+only the element-by-element references catch it and go on over Python
+integers, so no wrapped integer is ever stored.  Every other model
+(Garside braids, and a product with such a factor) returns None from
+``batch_action()``: its batch action is the default, one ``multiply`` call
+per open slot.
 
 General products.  ``multiply`` and ``invert`` of arbitrary elements (the
 combing checks, conjugacy tests, every product by a letter image) cost what

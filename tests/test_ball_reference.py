@@ -246,6 +246,23 @@ class TestAgainstReference:
             assert first[0] == 2
             assert isinstance(idx._layers, cayley._ElementLayers)
 
+    def test_an_element_layer_overflow_reaches_the_caller(self, monkeypatch):
+        # Python-int arithmetic can raise OverflowError too (a shift past
+        # sys.maxsize): on a ball held element by element from the start,
+        # or since a packed layer fell back, it is no missing int64 proof
+        expand = cayley._ElementLayers.expand
+
+        def overflow_at_3(self, r, max_elements):
+            if r == 3:
+                raise OverflowError("shift past sys.maxsize")
+            return expand(self, r, max_elements)
+
+        monkeypatch.setattr(cayley._ElementLayers, "expand", overflow_at_3)
+        for case in ("product_braid", "matrix_near_2_62"):
+            make, radius = CONFIGS[case]
+            with pytest.raises(OverflowError, match="sys.maxsize"):
+                cayley.ball(make(), radius)
+
     @pytest.mark.parametrize("group, word", [
         ("heis3", "a b a"), ("bs12", "t a t^-1"), ("sl2z", "a b a"), ("free2", "x y"),
     ])
@@ -316,7 +333,8 @@ class TestInt64Boundary:
         rows = np.array([[top, top, -top, 5]], dtype=np.int64)
         assert batch.multiply(rows, y).tolist() == [[top, 2 * top, -top, 5 - top]]
         rows[0, 2] = -(2 ** 62)  # M = 2^62: 2M is past int64
-        assert batch.multiply(rows, y) is None
+        with pytest.raises(OverflowError):
+            batch.multiply(rows, y)
         # at d = 3 the matmul bound 3M is past int64 but the column
         # operation's 2M is not: multiply picks the column operation for one
         # elementary row on the right, and a matmul, which has no proof,
@@ -324,7 +342,8 @@ class TestInt64Boundary:
         y3 = MatrixBatch(3).pack(((1, 0, 0), (0, 1, 0), (-1, 0, 1)))  # column 0 minus column 2
         rows3 = np.array([[top, 0, 0, 0, top, 0, top, 0, top]], dtype=np.int64)
         assert MatrixBatch(3).multiply(rows3, y3).tolist() == [[top, 0, 0, 0, top, 0, 0, 0, top]]
-        assert MatrixBatch(3).multiply(y3, rows3) is None
+        with pytest.raises(OverflowError):
+            MatrixBatch(3).multiply(y3, rows3)
 
     def test_matmul_bound_is_d_M_max_y(self):
         batch = MatrixBatch(2)
@@ -332,13 +351,15 @@ class TestInt64Boundary:
         M = INT64_MAX // 6  # d * M * max|y| = 6M
         rows = np.array([[M, -M, M, M]], dtype=np.int64)
         assert batch.multiply(rows, y).tolist() == [[2 * M - M, 3 * M - 2 * M, 3 * M, 5 * M]]
-        assert batch.multiply(rows + np.array([[1, 0, 0, 0]]), y) is None
+        with pytest.raises(OverflowError):
+            batch.multiply(rows + np.array([[1, 0, 0, 0]]), y)
 
     def test_dyadic_bound(self):
         batch = DyadicBatch()
         rows = np.array([[0, 2 ** 61, 0]], dtype=np.int64)
         assert batch.multiply(rows, batch.pack((0, INT64_MAX - 2 ** 61, 0))).tolist() == [[0, INT64_MAX, 0]]
-        assert batch.multiply(rows, batch.pack((0, 3 * 2 ** 61, 0))) is None  # 2^61 + 3 * 2^61 = 2^63
+        with pytest.raises(OverflowError):  # 2^61 + 3 * 2^61 = 2^63
+            batch.multiply(rows, batch.pack((0, 3 * 2 ** 61, 0)))
 
     def test_free_rows_up_to_63_bits(self):
         # rank 2 takes 2 bits per code: a word of length 30 is 61 bits and
@@ -354,10 +375,13 @@ class TestInt64Boundary:
             assert batch.unpack(batch.multiply(rows30, Y)) == [model.multiply(w30, y)]
             assert batch.unpack(batch.multiply(Y, rows30)) == [model.multiply(y, w30)]
             # no proof even where the product would cancel a code
-            assert batch.multiply(rows31, Y) is None
-            assert batch.multiply(Y, rows31) is None
+            with pytest.raises(OverflowError):
+                batch.multiply(rows31, Y)
+            with pytest.raises(OverflowError):
+                batch.multiply(Y, rows31)
         # a word of 32 codes has 65 bits and no row
-        assert batch.pack(w31 + (2,)) is None
+        with pytest.raises(OverflowError):
+            batch.pack(w31 + (2,))
         assert batch.unpack(np.concatenate((rows30, rows31))) == [w30, w31]
 
     def test_free_words_past_63_bits_run_on_tuples(self, monkeypatch):
@@ -465,7 +489,8 @@ class TestCaps:
     ])
     def test_stop_element_past_int64_is_not_in_a_packed_ball(self, group, element):
         G = get_group(group)
-        assert G.model.batch_action().pack(element) is None
+        with pytest.raises(OverflowError):
+            G.model.batch_action().pack(element)
         idx = cayley.ball(G, 3, _stop=element)
         assert isinstance(idx._layers, cayley._PackedLayers)
         assert (idx.radius, idx.stop_vertex) == (3, None)
@@ -553,8 +578,8 @@ def _sample_elements(G, rng, count, radius):
 class TestRowProducts:
     """The packed product of rows by one arbitrary element on either side,
     and of rows by rows pairwise, and the packed inverse equal the model's
-    ``multiply`` and ``invert`` row by row, and return None without a
-    proof."""
+    ``multiply`` and ``invert`` row by row, and raise OverflowError without
+    a proof."""
 
     @staticmethod
     def _check(G, xs, ys):
@@ -619,25 +644,31 @@ class TestRowProducts:
         assert batch.multiply(rows, y).tolist() == [[2 * M, 3 * M, 1, 2]]
         assert batch.multiply(y, rows).tolist() == [[2 * M, 3, M, 2]]
         rows[0, 0] += 1
-        assert batch.multiply(rows, y) is None
-        assert batch.multiply(y, rows) is None
+        with pytest.raises(OverflowError):
+            batch.multiply(rows, y)
+        with pytest.raises(OverflowError):
+            batch.multiply(y, rows)
         # an element with an entry past int64 has no row, and one with an
         # entry of -2^63 has a row but no proof on any rows
-        assert batch.pack(((1, 2 ** 63), (0, 1))) is None
+        with pytest.raises(OverflowError):
+            batch.pack(((1, 2 ** 63), (0, 1)))
         edge = batch.pack(((1, -(2 ** 63)), (0, 1)))
         ones = rows * 0 + 1
-        assert batch.multiply(ones, edge) is None
-        assert batch.multiply(edge, ones) is None
-        assert batch.invert(edge) is None
+        with pytest.raises(OverflowError):
+            batch.multiply(ones, edge)
+        with pytest.raises(OverflowError):
+            batch.multiply(edge, ones)
+        with pytest.raises(OverflowError):
+            batch.invert(edge)
 
     def test_matrix_inverse_bound_is_d_factorial_M_to_the_d(self):
         # 2 * M^2 bounds the 2 x 2 adjugate's determinant: M = 2^31 - 1
         # fits, M = 2^31 does not
         batch, model = MatrixBatch(2), IntegerMatrixGroup(2)
-        for M, fits in ((2 ** 31 - 1, True), (2 ** 31, False)):
-            x = model.element(((1, M), (0, -1)))
-            inverse = batch.invert(batch.pack(x))
-            assert (batch.unpack(inverse) == [model.invert(x)]) if fits else inverse is None
+        x = model.element(((1, 2 ** 31 - 1), (0, -1)))
+        assert batch.unpack(batch.invert(batch.pack(x))) == [model.invert(x)]
+        with pytest.raises(OverflowError):
+            batch.invert(batch.pack(model.element(((1, 2 ** 31), (0, -1)))))
 
     def test_dyadic_bound(self):
         G = get_group("bs12")
@@ -647,14 +678,18 @@ class TestRowProducts:
         fits, past = (0, INT64_MAX - 2 ** 61, 0), (0, 3 * 2 ** 61, 0)
         assert batch.unpack(batch.multiply(rows, batch.pack(fits))) == [model.multiply(x, fits)]
         assert batch.unpack(batch.multiply(batch.pack(fits), rows)) == [model.multiply(fits, x)]
-        assert batch.multiply(rows, batch.pack(past)) is None  # 2^61 + 3 * 2^61 = 2^63
-        assert batch.multiply(batch.pack(past), rows) is None
+        with pytest.raises(OverflowError):  # 2^61 + 3 * 2^61 = 2^63
+            batch.multiply(rows, batch.pack(past))
+        with pytest.raises(OverflowError):
+            batch.multiply(batch.pack(past), rows)
         # y = 2^k x + 1 with k = 2^63 - 1: x * y only adds k, but y * x
         # shifts x's num by k, and k + k is past int64
         huge = batch.pack((INT64_MAX, 1, 0))
         assert batch.unpack(batch.multiply(rows, huge)) == [model.multiply(x, (INT64_MAX, 1, 0))]
-        assert batch.multiply(huge, rows) is None
-        assert batch.multiply(huge, huge) is None
+        with pytest.raises(OverflowError):
+            batch.multiply(huge, rows)
+        with pytest.raises(OverflowError):
+            batch.multiply(huge, huge)
 
     def test_dyadic_inverse_bound(self):
         # x = 2^-62 v + n has the inverse 2^62 v - n 2^62: n = 1 fits, and
@@ -662,9 +697,9 @@ class TestRowProducts:
         batch, model = DyadicBatch(), DyadicAffineGroup()
         x = (-62, 1, 0)
         assert batch.unpack(batch.invert(batch.pack(x))) == [model.invert(x)] == [(62, -(2 ** 62), 0)]
-        assert batch.invert(batch.pack((-62, 2, 0))) is None
-        assert batch.invert(batch.pack((-(2 ** 62), 1, 0))) is None
-        assert batch.invert(batch.pack((0, -(2 ** 63), 0))) is None
+        for past in ((-62, 2, 0), (-(2 ** 62), 1, 0), (0, -(2 ** 63), 0)):
+            with pytest.raises(OverflowError):
+                batch.invert(batch.pack(past))
 
 
 
@@ -676,11 +711,19 @@ _edge = st.one_of(_small, st.integers(-(2 ** 63), 2 ** 63 - 1),
 
 def _assert_products_agree(batch, model, xs, ys, small):
     """multiply on rows, pairwise and broadcast both ways, and invert equal
-    the model's products and inverses of the decoded elements, or are None;
-    never None when ``small`` holds.  Elements that have no row are left
-    out."""
-    xs = [x for x in xs if batch.pack(x) is not None]
-    ys = [y for y in ys if batch.pack(y) is not None][:len(xs)]
+    the model's products and inverses of the decoded elements, or raise
+    OverflowError; never raise when ``small`` holds.  Elements that have no
+    row are left out."""
+
+    def proved(op, *args):
+        """op(*args), or None where it raises for want of an int64 proof."""
+        try:
+            return op(*args)
+        except OverflowError:
+            return None
+
+    xs = [x for x in xs if proved(batch.pack, x) is not None]
+    ys = [y for y in ys if proved(batch.pack, y) is not None][:len(xs)]
     if not ys:
         return
     xs = xs[:len(ys)]
@@ -693,9 +736,9 @@ def _assert_products_agree(batch, model, xs, ys, small):
         (B, A[-1:], [model.multiply(y, xs[-1]) for y in ys]),
     ]
     for P, Q, want in cases:
-        out = batch.multiply(P, Q)
+        out = proved(batch.multiply, P, Q)
         assert (out is None and not small) or batch.unpack(out) == want
-    inverse = batch.invert(A)
+    inverse = proved(batch.invert, A)
     assert (inverse is None and not small) or batch.unpack(inverse) == [model.invert(x) for x in xs]
 
 
@@ -755,6 +798,9 @@ class TestRowProductProperties:
         ys += [_random_free_word(rng, rank, rng.randrange(longest + 1)) for _ in range(3)]
         small = all(1 + batch.bits * len(w) <= 32 for w in xs + ys)
         _assert_products_agree(batch, model, xs, ys, small)
-        packed = [x for x in xs if batch.pack(x) is not None]
+        # every word of at most 63 bits has a row, and its inverse never
+        # raises: the inverse is no longer than its row
+        packed = [x for x in xs if 1 + batch.bits * len(x) <= 63]
         if packed:
-            assert batch.invert(np.concatenate([batch.pack(x) for x in packed])) is not None
+            inverse = batch.invert(np.concatenate([batch.pack(x) for x in packed]))
+            assert batch.unpack(inverse) == [model.invert(x) for x in packed]

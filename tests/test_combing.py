@@ -500,13 +500,30 @@ class TestRowScan:
         )
         rows_ball = cayley.ball(G, 2)
         batch, rows = rows_ball.rows()
-        assert batch.multiply(rows[5:], batch.pack((0,))) is None
+        with pytest.raises(OverflowError):
+            batch.multiply(rows[5:], batch.pack((0,)))
         a = model.generator(0)
         got = list(combing._conjugators_in_ball(G, rows_ball, a, a, 2))
         assert got == _brute_conjugators(cayley.ball(G, 2), a, a, 2)
         assert [rows_ball.vertex_word(v).letters for v in got] == [
             (), ((0, 1),), ((0, -1),), ((0, 1), (0, 1)), ((0, -1), (0, -1)),
         ]
+
+    def test_gamma_past_int64_is_tested_by_tuples(self):
+        # gamma = v^-1 a v with an entry past int64 has no row, so each
+        # layer after the identity is tested element by element; the
+        # conjugators are v times the centralizer of a
+        G = get_group("sl2z")
+        model = G.model
+        idx = cayley.ball(G, 4)
+        a = model.element(((1, 2 ** 64), (0, 1)))
+        for v in (0, 7):
+            (g,) = idx.elements_at([v])
+            gamma = model.multiply(model.multiply(model.invert(g), a), g)
+            got = list(combing._conjugators_in_ball(G, idx, a, gamma, 4))
+            assert got == _brute_conjugators(cayley.ball(G, 4), a, gamma, 4)
+            assert v in got and len(got) > 2
+        assert idx._layers._elements is None
 
 
 def _reference_triples(idx, seed):
@@ -553,7 +570,7 @@ class TestEquivarianceOnRows:
             assert got == _reference_triples(idx, seed)
         raw = _raw_triples(idx, 3)
         by_elements = experiments._quotients_in_ball(idx, raw[:, 1], raw[:, 2])
-        on_rows = experiments._quotients_in_ball_on_rows(idx, raw[:, 1], raw[:, 2])
+        on_rows = idx.quotient_vertices(idx.rows()[1][raw[:, 1]], idx.rows()[1][raw[:, 2]]) >= 0
         np.testing.assert_array_equal(on_rows, by_elements)
         # B(3) is the whole of kleinfour; elsewhere some quotients leave the ball
         assert by_elements.all() == (name == "kleinfour")
@@ -609,11 +626,52 @@ class TestEquivarianceOnRows:
         G = get_group("sl2z")
         sigma = combing.shortlex_bicombing(G, 5)
         triples = experiments._equivariance_triples(sigma.index, 0)
-        monkeypatch.setattr(type(G.model.batch_action()), "invert", lambda self, A: None)
-        assert combing._equivariance_on_rows(sigma, triples) is None
-        assert experiments._quotients_in_ball_on_rows(sigma.index, triples[:, 1], triples[:, 2]) is None
+
+        def no_proof(self, A):
+            raise OverflowError("no proof")
+
+        monkeypatch.setattr(type(G.model.batch_action()), "invert", no_proof)
+        with pytest.raises(OverflowError):
+            combing._equivariance_on_rows(sigma, triples)
+        rows = sigma.index.rows()[1]
+        with pytest.raises(OverflowError):
+            sigma.index.quotient_vertices(rows[triples[:, 1]], rows[triples[:, 2]])
         assert combing.check_equivariance(sigma, triples)
         np.testing.assert_array_equal(experiments._equivariance_triples(sigma.index, 0), triples)
+
+    def test_a_proof_failing_after_the_lookup_runs_the_element_loop(self, monkeypatch):
+        # the products of the lines' k * T rows have no proof, after the
+        # lookup of u and u' has run
+        G = get_group("heis3")
+        sigma = combing.shortlex_bicombing(G, 5)
+        idx = sigma.index
+        report_triples, raw = experiments._equivariance_triples(idx, 0), _raw_triples(idx, 5)
+        elements = idx.elements
+        batch = idx.rows()[0]
+        multiply, lookup, order = batch.multiply, cayley.BallIndex.vertices_of, []
+        k = len(report_triples)
+
+        def lines_fail(A, B):
+            if max(len(A), len(B)) == k * (idx.radius + 1):
+                order.append("product")
+                raise OverflowError("no proof")
+            return multiply(A, B)
+
+        def looked_up(self, rows):
+            order.append("lookup")
+            return lookup(self, rows)
+
+        monkeypatch.setattr(batch, "multiply", lines_fail)
+        monkeypatch.setattr(cayley.BallIndex, "vertices_of", looked_up)
+        want = combing.check_equivariance(sigma, [tuple(elements[v] for v in t)
+                                                  for t in report_triples.tolist()])
+        assert combing.check_equivariance(sigma, report_triples) is want is True
+        assert order == ["lookup", "product"]
+        # the raw triples hold lines that leave the ball: the element loop raises
+        k, order[:] = len(raw), []
+        with pytest.raises(CapExceeded, match=f"beyond the combing cap {sigma.cap}$"):
+            combing.check_equivariance(sigma, raw)
+        assert order == ["lookup", "product"]
 
     def test_other_bicombings_are_not_read_as_rows(self):
         G = get_group("sl2z")

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -25,6 +27,20 @@ class TestZoo:
 
     def test_z2_growth(self):
         assert cayley.growth_series(experiments.get_group("z2"), 3) == [1, 4, 8, 12]
+
+    def test_building_the_zoo_leaves_packed_unimported(self):
+        # perfbench/setup_probe.py times exactly these steps; ``_packed`` is
+        # loaded with the first batch action, on the first ball enumeration
+        code = (
+            "import sys\n"
+            "from groupgeo import experiments\n"
+            "for name in experiments.zoo_names():\n"
+            "    experiments.get_group(name)\n"
+            "print('groupgeo._packed' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestGroupFromConfig:

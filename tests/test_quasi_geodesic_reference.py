@@ -224,6 +224,34 @@ class TestSegmentsOnRows:
         monkeypatch.setattr(combing, "_SEGMENT_BLOCK", 100)
         assert combing._segments_on_rows(sigma, pairs) == whole == _element_segments(sigma, pairs)
 
+    def test_a_proof_failing_in_a_later_block_runs_the_element_loop(self, monkeypatch):
+        # free2's B(5) in blocks of 3 lines: u's product comes first, then
+        # one product per block, and the second block's has no proof
+        sigma = combing.shortlex_bicombing(get_group("free2"), 5)
+        idx = sigma.index
+        pairs = _report_pairs(idx)
+        want_segments = _element_segments(sigma, pairs)
+        want = combing.check_quasi_geodesic(sigma, _elements(idx, pairs)).to_json_dict()
+        batch = idx.rows()[0]
+        multiply, calls = batch.multiply, []
+
+        def second_block_fails(A, B):
+            calls.append(len(A))
+            if len(calls) == 3:
+                raise OverflowError("no proof")
+            return multiply(A, B)
+
+        measured = []
+        constants = combing._quasi_geodesic_constants
+        monkeypatch.setattr(combing, "_SEGMENT_BLOCK", 100)
+        monkeypatch.setattr(batch, "multiply", second_block_fails)
+        monkeypatch.setattr(combing, "_quasi_geodesic_constants",
+                            lambda segments: measured.append(segments) or constants(segments))
+        assert combing.check_quasi_geodesic(sigma, pairs).to_json_dict() == want
+        assert calls[0] == len(pairs) and len(calls) == 3
+        # the element loop measured every pair once: nothing of block 1 is kept
+        assert measured == [want_segments]
+
     def test_products_without_a_proof_run_the_element_loop(self):
         # a's image has an entry of 2^62 - 1: B(1) is packed, and the inverse
         # of x = a has no int64 proof
@@ -236,7 +264,8 @@ class TestSegmentsOnRows:
         assert combing._segments_on_rows(sigma, report) is not None
         pairs = np.concatenate((report, report[:, ::-1]))
         assert isinstance(sigma.index._layers, cayley._PackedLayers)
-        assert combing._segments_on_rows(sigma, pairs) is None
+        with pytest.raises(OverflowError):
+            combing._segments_on_rows(sigma, pairs)
         report = combing.check_quasi_geodesic(sigma, pairs)
         assert (report.lam, report.epsilon) == (1, 0)
         assert report.to_json_dict() == combing.check_quasi_geodesic(
